@@ -198,21 +198,6 @@ def factorial(n: int) -> int:
     return table[n]
 
 
-def poch_int(a: int, k: int) -> int:
-    """(a)_k for integer a as an exact integer, 0 when the range crosses zero."""
-    if k < 0:
-        raise ValueError("poch_int needs k >= 0")
-    if k == 0:
-        return 1
-    if a > 0:
-        return factorial(a + k - 1) // factorial(a - 1)
-    if a + k - 1 >= 0:
-        return 0
-    # all factors negative: (a)_k = (-1)**k (-a)! / (-a-k)!
-    v = factorial(-a) // factorial(-a - k)
-    return -v if k % 2 else v
-
-
 _ODD_PRODUCTS: list[int] = [1]
 
 

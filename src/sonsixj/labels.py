@@ -41,6 +41,16 @@ class SixJLabels(NamedTuple):
 TRIADS = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (4, 3, 2))  # indices into (a,b,e,d,c,f)
 
 
+def require_int_labels(labels: NamedTuple) -> None:
+    """Raise ValueError naming the first field (a label or n) that is not an int.
+
+    bool is rejected too, although it subclasses int.
+    """
+    for name, value in zip(labels._fields, labels):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"label {name} = {value!r} is not an int")
+
+
 def triangle_ok(l1: int, l2: int, l3: int) -> bool:
     """Triangle condition for one triad: even sum and all pairwise differences bounded."""
     if (l1 + l2 + l3) % 2:

@@ -5,7 +5,8 @@ four triangular normalization factors.  The core coefficient has several equival
 expansions implemented here:
 
 * three production double sums over Pochhammer symbols in the half-sum array
-  parameters (methods ``A``, ``B``, ``C``),
+  parameters (methods ``A``, ``B``, ``C``), evaluated in integer arithmetic by the
+  one kernel in ``series`` at rank n (the Sp(2n) coefficients use it at rank -2n),
 * three factorial-form double sums written directly in the labels, kept as an
   independent test path (methods ``AFactorial``, ``BFactorial``, ``CFactorial``),
 * a triple sum (method ``T3``),
@@ -18,6 +19,7 @@ representatives.
 """
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,21 +32,21 @@ from .exact import (
     PoleError,
     ResidualSqrtPiError,
     SurdValue,
-    binomial,
     factorial,
     gamma_exact,
     gamma_ratio_product,
     is_nonpositive_integer,
 )
 from .labels import (
-    RArray,
     SixJLabels,
     admissible,
     canonical_representative,
+    require_int_labels,
     shelepin,
     symmetry_orbit,
     triangle_ok,
 )
+from .series import double_sum, series_table
 
 METHODS = ("StretchedE", "NearStretchedE", "A", "B", "C", "T3")
 FACTORIAL_METHODS = ("AFactorial", "BFactorial", "CFactorial")
@@ -169,125 +171,6 @@ def _abcdef(labels: SixJLabels) -> Fraction:
     return Fraction(prod, 64)
 
 
-def _poch_row(a: Fraction, kmax: int) -> list[Fraction]:
-    """[(a)_0, (a)_1, ..., (a)_kmax]."""
-    out = [Fraction(1)]
-    v = Fraction(1)
-    for i in range(kmax):
-        v *= a + i
-        out.append(v)
-    return out
-
-
-def _sum_pochhammer_a(arr: RArray, tau: Fraction) -> tuple[Fraction, int]:
-    r = arr.r
-    a2, a4 = arr.alpha[1], arr.alpha[3]
-    b1, b2 = arr.beta[0], arr.beta[1]
-    m1, m2 = r(1, 1), r(1, 3)
-    up1 = [_poch_row(Fraction(-r(1, 4)), m1),
-           _poch_row(Fraction(r(2, 2) + 1), m1),
-           _poch_row(r(2, 3) + tau, m1)]
-    down1 = [_poch_row(Fraction(-r(2, 1)), m1),
-             _poch_row(-a4 - tau, m1),
-             _poch_row(r(3, 4) + tau, m1)]
-    up2 = [_poch_row(r(2, 4) + tau, m2),
-           _poch_row(-r(1, 2) - tau + 1, m2)]
-    down2 = [_poch_row(-a2 - tau, m2),
-             _poch_row(r(3, 2) + tau, m2)]
-    total = Fraction(0)
-    nonzero = 0
-    for x2 in range(m2 + 1):
-        f2 = binomial(m2, x2) * up2[0][x2] * up2[1][x2] * down2[0][m2 - x2] * down2[1][m2 - x2]
-        if f2 == 0:
-            continue
-        if x2 % 2:
-            f2 = -f2
-        coup_a = _poch_row(Fraction(b2 - b1 + x2 + 1), m1)
-        coup_b = _poch_row(-r(2, 1) - tau - x2 + 1, m1)
-        for x1 in range(m1 + 1):
-            t = (binomial(m1, x1)
-                 * up1[0][x1] * up1[1][x1] * up1[2][x1]
-                 * down1[0][m1 - x1] * down1[1][m1 - x1] * down1[2][m1 - x1]
-                 * coup_a[x1] * coup_b[m1 - x1])
-            if t == 0:
-                continue
-            nonzero += 1
-            total += -f2 * t if x1 % 2 else f2 * t
-    return total, nonzero
-
-
-def _sum_pochhammer_b(arr: RArray, tau: Fraction, n: int) -> tuple[Fraction, int]:
-    r = arr.r
-    a1, a2, a3, a4 = arr.alpha
-    m1, m2 = r(1, 1), r(3, 1)
-    up1 = [_poch_row(Fraction(-r(1, 4)), m1),
-           _poch_row(Fraction(r(2, 2) + 1), m1),
-           _poch_row(r(2, 3) + tau, m1)]
-    down1 = [_poch_row(Fraction(-r(2, 1)), m1),
-             _poch_row(r(3, 4) + tau, m1),
-             _poch_row(-a4 - tau, m1)]
-    up2 = [_poch_row(-a2 - tau, m2),
-           _poch_row(Fraction(-a3 - n + 3), m2)]
-    down2 = [_poch_row(r(2, 4) + tau, m2),
-             _poch_row(Fraction(a1 + n - 2), m2)]
-    total = Fraction(0)
-    nonzero = 0
-    for x2 in range(m2 + 1):
-        f2 = binomial(m2, x2) * up2[0][x2] * up2[1][x2] * down2[0][m2 - x2] * down2[1][m2 - x2]
-        if f2 == 0:
-            continue
-        if x2 % 2:
-            f2 = -f2
-        coup_a = _poch_row(Fraction(r(3, 4) - x2 + 1), m1)
-        coup_b = _poch_row(-r(3, 4) - m1 - tau + x2 + 1, m1)
-        for x1 in range(m1 + 1):
-            t = (binomial(m1, x1)
-                 * up1[0][x1] * up1[1][x1] * up1[2][x1]
-                 * down1[0][m1 - x1] * down1[1][m1 - x1] * down1[2][m1 - x1]
-                 * coup_a[m1 - x1] * coup_b[x1])
-            if t == 0:
-                continue
-            nonzero += 1
-            total += -f2 * t if x1 % 2 else f2 * t
-    return total, nonzero
-
-
-def _sum_pochhammer_c(arr: RArray, tau: Fraction, n: int) -> tuple[Fraction, int]:
-    r = arr.r
-    a1, a2, a3, a4 = arr.alpha
-    m1, m2 = r(1, 1), r(3, 1)
-    up1 = [_poch_row(Fraction(-r(1, 2)), m1),
-           _poch_row(-a3 - tau, m1),
-           _poch_row(-a4 - tau, m1)]
-    down1 = [_poch_row(r(3, 2) + tau, m1),
-             _poch_row(Fraction(r(2, 2) + 1), m1),
-             _poch_row(Fraction(a1 + n - 2), m1)]
-    up2 = [_poch_row(r(2, 3) + tau, m2),
-           _poch_row(r(2, 4) + tau, m2)]
-    down2 = [_poch_row(-a2 - tau, m2),
-             _poch_row(-r(2, 1) - tau + 1, m2)]
-    total = Fraction(0)
-    nonzero = 0
-    for x2 in range(m2 + 1):
-        f2 = binomial(m2, x2) * up2[0][x2] * up2[1][x2] * down2[0][m2 - x2] * down2[1][m2 - x2]
-        if f2 == 0:
-            continue
-        if x2 % 2:
-            f2 = -f2
-        coup_a = _poch_row(-r(3, 2) - m1 - tau + x2 + 1, m1)
-        coup_b = _poch_row(Fraction(r(3, 2) - x2 + 1), m1)
-        for x1 in range(m1 + 1):
-            t = (binomial(m1, x1)
-                 * up1[0][x1] * up1[1][x1] * up1[2][x1]
-                 * down1[0][m1 - x1] * down1[1][m1 - x1] * down1[2][m1 - x1]
-                 * coup_a[x1] * coup_b[m1 - x1])
-            if t == 0:
-                continue
-            nonzero += 1
-            total += -f2 * t if x1 % 2 else f2 * t
-    return total, nonzero
-
-
 def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     n = labels.n
     tau = Fraction(n, 2) - 1
@@ -303,23 +186,21 @@ def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
         fact_dens = (r(1, 1), r(1, 2), r(1, 3), r(1, 4), r(2, 1), r(3, 3))
         gamma_nums = [r(2, 2) + tau, r(2, 3) + tau, r(2, 4) + tau,
                       r(3, 2) + tau, r(3, 3) + tau, r(3, 4) + tau]
-        total, terms = _sum_pochhammer_a(arr, tau)
     elif variant == "B":
         phase = -1 if (b1 - b3) % 2 else 1
         lead = Fraction(factorial(a1 + n - 3))
         fact_dens = (r(1, 1), r(1, 2), r(1, 4), r(2, 1), r(3, 1), r(3, 3))
         gamma_nums = [r(1, 2) + tau, r(2, 2) + tau, r(2, 3) + tau,
                       r(2, 4) + tau, r(3, 3) + tau, r(3, 4) + tau]
-        total, terms = _sum_pochhammer_b(arr, tau, n)
     elif variant == "C":
         phase = -1 if (b1 - b3) % 2 else 1
         lead = Fraction(factorial(a1 + n - 3))
         fact_dens = (r(1, 1), r(1, 2), r(2, 1), r(3, 1), r(3, 3), r(3, 4))
         gamma_nums = [r(2, 2) + tau, r(2, 3) + tau, r(2, 4) + tau,
                       r(3, 2) + tau, r(3, 3) + tau, r(3, 4) + tau]
-        total, terms = _sum_pochhammer_c(arr, tau, n)
     else:
         raise ValueError(f"unknown Pochhammer-form variant {variant}")
+    total, terms = double_sum(series_table(arr, variant), n - 2)
     if total == 0:
         return Fraction(0), terms
     for m in fact_dens:
@@ -585,6 +466,7 @@ def _c_near_stretched(labels: SixJLabels) -> Fraction:
 
 def c_alpha(labels: SixJLabels, method: str = "A", allow_n3: bool = False) -> CAlpha:
     """The rational core coefficient by the requested method, at the literal labels."""
+    require_int_labels(labels)
     _check_n(labels.n, allow_n3)
     if method not in METHODS and method not in FACTORIAL_METHODS:
         raise ValueError(f"unknown method {method}")
@@ -685,18 +567,37 @@ def assemble_sixj(c_value: Fraction, labels: SixJLabels) -> SurdValue:
 
 _CACHE: "OrderedDict[tuple, SixJValue]" = OrderedDict()
 _CACHE_MAX = 65536
+_CACHE_LOCK = threading.Lock()  # every lookup, insert and eviction holds it
 
 
 def configure_cache(maxsize: int) -> None:
     """Resize the canonical-representative value cache."""
     global _CACHE_MAX
-    _CACHE_MAX = max(0, maxsize)
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
+    with _CACHE_LOCK:
+        _CACHE_MAX = max(0, maxsize)
+        while len(_CACHE) > _CACHE_MAX:
+            _CACHE.popitem(last=False)
 
 
 def cache_clear() -> None:
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
+
+
+def _cache_get(key: tuple) -> SixJValue | None:
+    with _CACHE_LOCK:
+        hit = _CACHE.get(key)
+        if hit is not None:
+            _CACHE.move_to_end(key)
+        return hit
+
+
+def _cache_put(key: tuple, value: SixJValue) -> None:
+    with _CACHE_LOCK:
+        if _CACHE_MAX > 0:
+            _CACHE[key] = value
+            if len(_CACHE) > _CACHE_MAX:
+                _CACHE.popitem(last=False)
 
 
 def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
@@ -707,6 +608,7 @@ def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
     the result is cached under the canonical orbit representative.  A forced method
     evaluates at the literal labels with no reorientation and no caching.
     """
+    require_int_labels(labels)
     _check_n(labels.n, allow_n3)
     if not admissible(labels):
         return SixJValue(SurdValue.zero(), labels, "zero", 0)
@@ -714,15 +616,12 @@ def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
         ca = c_alpha(labels, method, allow_n3=allow_n3)
         return SixJValue(assemble_sixj(ca.value, labels), labels, method, ca.terms)
     key = canonical_representative(labels).six + (labels.n,)
-    if use_cache and key in _CACHE:
-        _CACHE.move_to_end(key)
-        hit = _CACHE[key]
+    hit = _cache_get(key) if use_cache else None
+    if hit is not None:
         return SixJValue(hit.value, labels, hit.method_used, hit.predicted_terms)
     choice = select_method(labels)
     ca = c_alpha(choice.variant, choice.method, allow_n3=allow_n3)
     value = assemble_sixj(ca.value, choice.variant)
-    if use_cache and _CACHE_MAX > 0:
-        _CACHE[key] = SixJValue(value, labels, choice.method, choice.predicted_terms)
-        if len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
+    if use_cache:
+        _cache_put(key, SixJValue(value, labels, choice.method, choice.predicted_terms))
     return SixJValue(value, labels, choice.method, choice.predicted_terms)

@@ -2,11 +2,11 @@
 
 A single-column irrep of Sp(2n) is labelled by its column height nu.  The
 recoupling coefficient for six such irreps is a rescaled orthogonal 6j-symbol
-continued to rank -2n.  The double sums evaluated here are already continued:
-they are the core double series specialized to tau = -n - 1 with the rank
-parameter replaced by -2n, written as factorial series so that every
-Pochhammer factor is an exact integer and any term whose factorial-ratio
-expansion needs a negative-argument factorial in a denominator is zero.
+continued to rank -2n.  The double sums are the SO(n) series of methods A, B
+and C themselves: the one kernel in ``series`` evaluated at rank -2n, where
+tau = -n - 1, so that every Pochhammer factor is an exact integer and any term
+whose factorial-ratio expansion needs a negative-argument factorial in a
+denominator is zero.
 
 Conventions fixed throughout: the overall sign of ``u_sp`` is (-1)**beta1
 (with the companion exponent beta2 entering the column-swap relation of
@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, NamedTuple
 
-from .exact import FactoredProduct, SurdValue, poch_int
-from .labels import RArray, SixJLabels, TRIADS, shelepin, triangle_ok
+from .exact import FactoredProduct, SurdValue
+from .labels import RArray, SixJLabels, TRIADS, require_int_labels, shelepin, triangle_ok
+from .series import series_table, termwise
 
 __all__ = [
     "SP_METHODS",
@@ -102,84 +103,12 @@ def sp_sum_terms(arr: RArray, n: int, method: str) -> Iterator[tuple[tuple[int, 
 
     Terms are exact integers including the binomial weights and the
     (-1)**(x1+x2) sign; zero terms (a Pochhammer range crossing zero) are
-    yielded as zeros so callers can align term lists positionally.
+    yielded as zeros so callers can align term lists positionally.  They are
+    the SO(n) series of methods A, B, C continued to rank -2n, x1-major.
     """
-    r11, r12, r13, r14 = arr.rows[0]
-    r21, r22, r23, r24 = arr.rows[1]
-    r31, r32, r33, r34 = arr.rows[2]
-    a1, a2, a3, a4 = arr.alpha
-    b1, b2, b3 = arr.beta
-    if method == "a":
-        for x1 in range(r11 + 1):
-            base = (
-                poch_int(-r14, x1)
-                * poch_int(r22 + 1, x1)
-                * poch_int(r23 - n - 1, x1)
-                * poch_int(-r21, r11 - x1)
-                * poch_int(-a4 + n + 1, r11 - x1)
-                * poch_int(r34 - n - 1, r11 - x1)
-                * comb(r11, x1)
-            )
-            for x2 in range(r13 + 1):
-                term = (
-                    base
-                    * poch_int(r24 - n - 1, x2)
-                    * poch_int(-r12 + n + 2, x2)
-                    * poch_int(-a2 + n + 1, r13 - x2)
-                    * poch_int(r32 - n - 1, r13 - x2)
-                    * poch_int(b2 - b1 + x2 + 1, x1)
-                    * poch_int(-r21 + n + 2 - x2, r11 - x1)
-                    * comb(r13, x2)
-                )
-                yield (x1, x2), (-term if (x1 + x2) % 2 else term)
-    elif method == "b":
-        for x1 in range(r11 + 1):
-            base = (
-                poch_int(-r14, x1)
-                * poch_int(r22 + 1, x1)
-                * poch_int(r23 - n - 1, x1)
-                * poch_int(-r21, r11 - x1)
-                * poch_int(r34 - n - 1, r11 - x1)
-                * poch_int(-a4 + n + 1, r11 - x1)
-                * comb(r11, x1)
-            )
-            for x2 in range(r31 + 1):
-                term = (
-                    base
-                    * poch_int(-a2 + n + 1, x2)
-                    * poch_int(-a3 + 2 * n + 3, x2)
-                    * poch_int(r24 - n - 1, r31 - x2)
-                    * poch_int(a1 - 2 * n - 2, r31 - x2)
-                    * poch_int(r34 - x2 + 1, r11 - x1)
-                    * poch_int(-r34 - r11 + n + x2 + 2, x1)
-                    * comb(r31, x2)
-                )
-                yield (x1, x2), (-term if (x1 + x2) % 2 else term)
-    elif method == "c":
-        for x1 in range(r11 + 1):
-            base = (
-                poch_int(-r12, x1)
-                * poch_int(-a3 + n + 1, x1)
-                * poch_int(-a4 + n + 1, x1)
-                * poch_int(r32 - n - 1, r11 - x1)
-                * poch_int(r22 + 1, r11 - x1)
-                * poch_int(a1 - 2 * n - 2, r11 - x1)
-                * comb(r11, x1)
-            )
-            for x2 in range(r31 + 1):
-                term = (
-                    base
-                    * poch_int(r23 - n - 1, x2)
-                    * poch_int(r24 - n - 1, x2)
-                    * poch_int(-a2 + n + 1, r31 - x2)
-                    * poch_int(-r21 + n + 2, r31 - x2)
-                    * poch_int(-r32 - r11 + n + x2 + 2, x1)
-                    * poch_int(r32 - x2 + 1, r11 - x1)
-                    * comb(r31, x2)
-                )
-                yield (x1, x2), (-term if (x1 + x2) % 2 else term)
-    else:
+    if method not in SP_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    return termwise(series_table(arr, method.upper()), -2 * n - 2)
 
 
 def _sqrt_block(labels: SpLabels, arr: RArray) -> SurdValue:
@@ -217,6 +146,7 @@ def u_sp(labels: SpLabels, method: str = "a") -> SpU:
     """
     if method not in SP_METHODS:
         raise ValueError(f"unknown method {method!r}")
+    require_int_labels(labels)
     n = labels.n
     if n < 1:
         raise ValueError("rank n must be a positive integer")

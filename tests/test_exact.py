@@ -18,7 +18,6 @@ from sonsixj.exact import (
     gamma_exact,
     gamma_ratio_product,
     poch_half,
-    poch_int,
     pochhammer,
     squarefree_decompose,
     surd_normalize,
@@ -113,22 +112,6 @@ def test_pochhammer_values():
     assert pochhammer(-3, 5) == 0
     with pytest.raises(ValueError):
         pochhammer(1, -1)
-
-
-def test_poch_int_values():
-    assert poch_int(3, 4) == 360
-    assert poch_int(-3, 2) == 6
-    assert poch_int(-3, 3) == -6
-    assert poch_int(-2, 5) == 0
-    assert poch_int(-7, 0) == 1
-
-
-@given(
-    st.integers(min_value=-12, max_value=12),
-    st.integers(min_value=0, max_value=8),
-)
-def test_poch_int_matches_generic(a, k):
-    assert poch_int(a, k) == pochhammer(a, k)
 
 
 @given(

@@ -1,5 +1,7 @@
 """Core 6j evaluation: dimensions, 3j prefactors, all evaluators, caching."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -194,3 +196,45 @@ def test_cache_disabled():
         assert sixj(lab).value == SurdValue.of_rational(Fraction(9, 400))
     finally:
         configure_cache(4096)
+
+
+def test_cache_is_thread_safe():
+    # four threads alternate two orbits through a one-slot cache with a tiny switch
+    # interval; a check-then-read lookup raised KeyError here
+    labs = (SixJLabels(0, 0, 0, 0, 0, 0, 6), SixJLabels(1, 1, 0, 1, 1, 0, 6))
+    expected = [sixj(lab, use_cache=False).value for lab in labs]
+    errors = []
+
+    def worker():
+        try:
+            for i in range(1000):
+                assert sixj(labs[i % 2]).value == expected[i % 2]
+        except Exception as exc:  # reported to the main thread below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    configure_cache(1)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+        configure_cache(4096)
+        cache_clear()
+    assert not errors, errors[:1]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_non_int_labels_rejected(bad):
+    for i, name in enumerate(SixJLabels._fields):
+        fields = [1, 1, 0, 1, 1, 0, 6]
+        fields[i] = bad
+        lab = SixJLabels(*fields)
+        for call in (sixj, c_alpha, lambda x: sixj(x, method="B")):
+            with pytest.raises(ValueError, match=f"label {name} = "):
+                call(lab)

@@ -6,10 +6,9 @@ from math import comb
 
 import pytest
 
-from sonsixj.exact import SurdValue, surd_normalize
+from sonsixj.exact import SurdValue, pochhammer, surd_normalize
 from sonsixj.labels import SixJLabels, shelepin
 from sonsixj.oracle import su2_6j
-from sonsixj.sixj import _sum_pochhammer_a, _sum_pochhammer_b, _sum_pochhammer_c
 from sonsixj.spn import (
     SP_METHODS,
     SpLabels,
@@ -107,18 +106,60 @@ def test_methods_agree_sampled_rank_three():
         assert u_sp(lab, "c").value == ref, lab
 
 
+def _so_series_terms(arr, tau, rank, method):
+    """The SO(n) double series A/B/C, term by term in Fraction arithmetic, at any tau and rank.
+
+    Written out from the Pochhammer forms independently of the package's
+    kernel tables; x1-major, zero terms included."""
+    (r11, r12, r13, r14), (r21, r22, r23, r24), (r31, r32, r33, r34) = arr.rows
+    a1, a2, a3, a4 = arr.alpha
+    b1, b2, _ = arr.beta
+    P = pochhammer
+    m2 = r13 if method == "a" else r31
+    for x1 in range(r11 + 1):
+        y1 = r11 - x1
+        for x2 in range(m2 + 1):
+            y2 = m2 - x2
+            if method == "a":
+                t = (P(-r14, x1) * P(r22 + 1, x1) * P(r23 + tau, x1)
+                     * P(-r21, y1) * P(-a4 - tau, y1) * P(r34 + tau, y1)
+                     * P(r24 + tau, x2) * P(-r12 - tau + 1, x2)
+                     * P(-a2 - tau, y2) * P(r32 + tau, y2)
+                     * P(b2 - b1 + x2 + 1, x1) * P(-r21 - tau - x2 + 1, y1))
+            elif method == "b":
+                t = (P(-r14, x1) * P(r22 + 1, x1) * P(r23 + tau, x1)
+                     * P(-r21, y1) * P(r34 + tau, y1) * P(-a4 - tau, y1)
+                     * P(-a2 - tau, x2) * P(-a3 - rank + 3, x2)
+                     * P(r24 + tau, y2) * P(a1 + rank - 2, y2)
+                     * P(r34 - x2 + 1, y1) * P(-r34 - r11 - tau + x2 + 1, x1))
+            else:
+                t = (P(-r12, x1) * P(-a3 - tau, x1) * P(-a4 - tau, x1)
+                     * P(r32 + tau, y1) * P(r22 + 1, y1) * P(a1 + rank - 2, y1)
+                     * P(r23 + tau, x2) * P(r24 + tau, x2)
+                     * P(-a2 - tau, y2) * P(-r21 - tau + 1, y2)
+                     * P(-r32 - r11 - tau + x2 + 1, x1) * P(r32 - x2 + 1, y1))
+            sign = -1 if (x1 + x2) % 2 else 1
+            yield (x1, x2), sign * comb(r11, x1) * comb(m2, x2) * t
+
+
 def test_series_is_formal_continuation():
-    # the direct term generator reproduces the generic double sums evaluated
-    # at the continued arguments tau = -n - 1, rank = -2n
+    # the Sp(2n) terms are the SO(n) series at tau = -n - 1, rank -2n, term by term;
+    # the term list is the full x1-major lattice with its zero terms
+    zeros = 0
     for lab in list(all_sp_labels(2)) + list(all_sp_labels(3))[::9]:
         arr = shelepin(SixJLabels(*lab.six, 2 * lab.n))
-        tau = Fraction(-lab.n - 1)
-        direct_a = sum(t for _, t in sp_sum_terms(arr, lab.n, "a"))
-        direct_b = sum(t for _, t in sp_sum_terms(arr, lab.n, "b"))
-        direct_c = sum(t for _, t in sp_sum_terms(arr, lab.n, "c"))
-        assert direct_a == _sum_pochhammer_a(arr, tau)[0], lab
-        assert direct_b == _sum_pochhammer_b(arr, tau, -2 * lab.n)[0], lab
-        assert direct_c == _sum_pochhammer_c(arr, tau, -2 * lab.n)[0], lab
+        r11, r13, r31 = arr.r(1, 1), arr.r(1, 3), arr.r(3, 1)
+        for method in SP_METHODS:
+            terms = list(sp_sum_terms(arr, lab.n, method))
+            m2 = r13 if method == "a" else r31
+            assert len(terms) == (r11 + 1) * (m2 + 1), (lab, method)
+            assert [xy for xy, _ in terms] == [
+                (x1, x2) for x1 in range(r11 + 1) for x2 in range(m2 + 1)], (lab, method)
+            assert all(type(t) is int for _, t in terms), (lab, method)
+            reference = list(_so_series_terms(arr, Fraction(-lab.n - 1), -2 * lab.n, method))
+            assert terms == reference, (lab, method)
+            zeros += sum(1 for _, t in terms if t == 0)
+    assert zeros > 0
 
 
 def test_rank_one_reduces_to_su2():
@@ -157,3 +198,12 @@ def test_values_are_real():
     for lab in all_sp_labels(2):
         v = u_sp(lab).value
         assert v.radicand >= 1, lab
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_u_sp_rejects_non_int_labels(bad):
+    for i, name in enumerate(SpLabels._fields):
+        fields = [1, 1, 0, 1, 1, 0, 2]
+        fields[i] = bad
+        with pytest.raises(ValueError, match=f"label {name} = "):
+            u_sp(SpLabels(*fields))
