@@ -27,13 +27,14 @@ import json
 import os
 import re
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .exact import SurdValue, surd_normalize
-from .labels import SixJLabels, admissible, symmetry_orbit
+from .labels import SixJLabels, admissible_sixes, symmetry_orbit
 from .sixj import METHODS, FACTORIAL_METHODS, c_alpha, configure_cache, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, run_suite
@@ -273,7 +274,16 @@ def _cmd_verify(args, labels: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_eval(task: tuple[str, tuple[int, ...], int, str]) -> str:
+_SWEEP_METHODS = {
+    "sixj": ("auto",) + METHODS + FACTORIAL_METHODS,
+    "calpha": ("auto",) + METHODS + FACTORIAL_METHODS,  # auto means A
+    "sp_u": ("auto",) + SP_METHODS,  # auto means a
+}
+
+SweepTask = tuple[str, tuple[int, ...], int, str]
+
+
+def _sweep_eval(task: SweepTask) -> str:
     kind, six, n, method = task
     if kind == "sixj":
         result = sixj(SixJLabels(*six, n), method=method)
@@ -282,47 +292,63 @@ def _sweep_eval(task: tuple[str, tuple[int, ...], int, str]) -> str:
         result = c_alpha(SixJLabels(*six, n), method if method != "auto" else "A")
         payload = _payload("calpha", n, six, result.method, result.terms, result.value)
     else:
-        result = u_sp(SpLabels(*six, n), method if method in SP_METHODS else "a")
+        result = u_sp(SpLabels(*six, n), method if method != "auto" else "a")
         payload = _payload("sp_u", n, six, result.method, None, result.value)
     return json.dumps(payload, separators=(", ", ": "))
 
 
-def _sweep_tasks(args) -> list[tuple[str, tuple[int, ...], int, str]]:
+def _sweep_tasks(args) -> Iterator[SweepTask]:
+    """Check every n, --max-label and --method, then return the tasks lazily.
+
+    Tasks come in order of n, then of the labels (a, b, e, d, c, f).
+    """
     n_values = _parse_n_list(args.n)
-    tasks = []
-    if args.kind in ("sixj", "calpha"):
+    kind, method = args.kind, args.method
+    if method not in _SWEEP_METHODS[kind]:
+        raise MalformedQuery(
+            f"sweep --kind {kind} takes --method {', '.join(_SWEEP_METHODS[kind])}; got {method!r}"
+        )
+    if kind in ("sixj", "calpha"):
         if args.max_label is None:
             raise MalformedQuery("sweep over sixj/calpha needs --max-label")
         for n in n_values:
             if n < 4:
                 raise MalformedQuery(f"sweep needs n >= 4, got {n}")
-            for six in product(range(args.max_label + 1), repeat=6):
-                if admissible(SixJLabels(*six, n)):
-                    tasks.append((args.kind, six, n, args.method))
-    else:
-        for n in n_values:
-            if n < 1:
-                raise MalformedQuery(f"sp sweep needs rank >= 1, got {n}")
-            top = (args.max_label if args.max_label is not None else n) + 1
-            for six in product(range(top), repeat=6):
-                if sp_admissible(SpLabels(*six, n)):
-                    tasks.append((args.kind, six, n, args.method))
-    return tasks
+        return ((kind, six, n, method) for n in n_values for six in admissible_sixes(args.max_label))
+    for n in n_values:
+        if n < 1:
+            raise MalformedQuery(f"sp sweep needs rank >= 1, got {n}")
+    return (
+        (kind, six, n, method)
+        for n in n_values
+        for six in admissible_sixes(args.max_label if args.max_label is not None else n)
+        if sp_admissible(SpLabels(*six, n))
+    )
+
+
+def _sweep_chunk(tasks: list[SweepTask]) -> list[str]:
+    return [_sweep_eval(task) for task in tasks]
+
+
+def _pool_rows(tasks: Iterator[SweepTask], jobs: int, chunk: int = 64) -> Iterator[str]:
+    """Rows in task order from a process pool, with at most 4 chunks per worker in flight."""
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending: deque = deque()
+        for batch in iter(lambda: list(islice(tasks, chunk)), []):
+            pending.append(pool.submit(_sweep_chunk, batch))
+            if len(pending) >= 4 * jobs:
+                yield from pending.popleft().result()
+        for future in pending:
+            yield from future.result()
 
 
 def _cmd_sweep(args, labels: list[int]) -> int:
     if labels:
         raise MalformedQuery("sweep enumerates labels itself; drop the trailing labels")
     tasks = _sweep_tasks(args)
-    if not tasks:
-        return 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for line in pool.map(_sweep_eval, tasks, chunksize=64):
-                print(line)
-    else:
-        for task in tasks:
-            print(_sweep_eval(task))
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    for row in _pool_rows(tasks, jobs) if jobs > 1 else map(_sweep_eval, tasks):
+        print(row)
     return 0
 
 
@@ -400,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="n values, e.g. 4 or 4..6")
     p.add_argument("--max-label", type=int, default=None)
     p.add_argument("--method", default="auto")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

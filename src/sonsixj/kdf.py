@@ -24,7 +24,7 @@ from .exact import (
     gamma_exact,
     is_nonpositive_integer,
 )
-from .labels import SixJLabels, admissible, reflect_labels, shelepin
+from .labels import SixJLabels, admissible, reflect_labels, require_int_labels, shelepin
 from .sixj import c_alpha as _production_c_alpha
 
 VARIANTS = ("1a", "1b", "2a", "2b", "3a", "3b")
@@ -256,6 +256,7 @@ def kdf_params_for(labels: SixJLabels, variant: str) -> tuple[KdFParams, GammaEx
 
 def kdf_c_alpha(labels: SixJLabels, variant: str) -> Fraction:
     """Core coefficient via a series parameterization (cross-check path)."""
+    require_int_labels(labels)
     params, pre = kdf_params_for(labels, variant)
     series = kdf_eval(params)
     n = labels.n

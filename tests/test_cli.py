@@ -1,10 +1,13 @@
 """Command line interface: parsing, rendering, exit codes, sweeps."""
 
 import json
+import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
+from sonsixj import cli
 from sonsixj.cli import (
     MalformedQuery,
     _parse_n_list,
@@ -216,3 +219,58 @@ def test_sweep_sp_kind(capsys):
 def test_sweep_empty_range(capsys):
     code, out = run_cli(capsys, ["sweep", "--kind", "sixj", "--n", "9..4", "--max-label", "2"])
     assert (code, out) == (0, "")
+
+
+def test_sweep_checks_every_n_before_the_first_row(capsys):
+    assert run_cli(capsys, ["sweep", "--kind", "sixj", "--n", "8,3", "--max-label", "2"]) == (2, "")
+    assert run_cli(capsys, ["sweep", "--kind", "sp_u", "--n", "2,0"]) == (2, "")
+
+
+@pytest.mark.parametrize("kind, method", [
+    ("sp_u", "zzz"), ("sp_u", "A"), ("sixj", "zzz"), ("sixj", "a"), ("calpha", "b"),
+])
+def test_sweep_rejects_method_foreign_to_kind(capsys, kind, method):
+    argv = ["sweep", "--kind", kind, "--n", "4", "--max-label", "1", "--method", method]
+    assert run_cli(capsys, argv) == (2, "")
+
+
+def test_sweep_method_auto_per_kind(capsys):
+    for kind, default in (("sp_u", "a"), ("calpha", "A")):
+        _, auto = run_cli(capsys, ["sweep", "--kind", kind, "--n", "4", "--max-label", "2"])
+        _, forced = run_cli(capsys, ["sweep", "--kind", kind, "--n", "4", "--max-label", "2",
+                                     "--method", default])
+        assert auto == forced and auto
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    seen = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 1000, [2]), (3, 2, [2]), (None, 1000, []), (1, 8, []),
+])
+def test_sweep_jobs_capped_at_cpu_count(capsys, monkeypatch, cpus, jobs, workers):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    RecordingPool.seen = []
+    argv = ["sweep", "--kind", "sixj", "--n", "4..5", "--max-label", "4"]  # 18 chunks of 64
+    _, serial = run_cli(capsys, argv)
+    code, out = run_cli(capsys, argv + ["--jobs", str(jobs)])
+    assert (code, out) == (0, serial)
+    assert RecordingPool.seen == workers

@@ -170,3 +170,12 @@ def test_hook_reflection_unknown_pair():
     lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
     with pytest.raises(ValueError):
         hook_reflection_map_check(lab, ("1a", "1b"))
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_kdf_c_alpha_rejects_non_int(bad):
+    for i, name in enumerate(SixJLabels._fields):
+        fields = [2, 2, 2, 2, 2, 2, 6]
+        fields[i] = bad
+        with pytest.raises(ValueError, match=f"label {name} = "):
+            kdf_c_alpha(SixJLabels(*fields), VARIANTS[0])

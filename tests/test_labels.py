@@ -1,5 +1,7 @@
 """Label bookkeeping: admissibility, the 3x4 overlap array, and the symmetry orbit."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,9 +9,11 @@ from sonsixj.labels import (
     ParityError,
     SixJLabels,
     admissible,
+    admissible_sixes,
     canonical_representative,
     hook_reflect,
     labels_from_rarray,
+    orbit_key,
     orbit_variants,
     reflect_labels,
     shelepin,
@@ -107,6 +111,36 @@ def test_canonical_representative_stable():
     rep = canonical_representative(lab)
     assert canonical_representative(rep) == rep
     assert rep in symmetry_orbit(lab)
+
+
+@pytest.mark.parametrize("max_label", range(9))
+def test_admissible_sixes_matches_product_filter(max_label):
+    expected = [six for six in product(range(max_label + 1), repeat=6)
+                if admissible(SixJLabels(*six, 4))]
+    assert list(admissible_sixes(max_label)) == expected
+
+
+def test_admissible_sixes_empty_below_zero():
+    assert list(admissible_sixes(-1)) == []
+
+
+def test_orbit_key_form():
+    lab = SixJLabels(1, 3, 2, 3, 1, 4, 9)
+    arr = shelepin(lab)
+    assert orbit_key(lab) == (*sorted(arr.alpha), *sorted(arr.beta), 9)
+    with pytest.raises(ParityError):
+        orbit_key(SixJLabels(1, 1, 1, 1, 1, 1, 6))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_orbit_key_in_bijection_with_canonical_representative(n):
+    rep_of_key, key_of_rep = {}, {}
+    for six in admissible_sixes(6):
+        lab = SixJLabels(*six, n)
+        key, rep = orbit_key(lab), canonical_representative(lab)
+        assert rep_of_key.setdefault(key, rep) == rep, six
+        assert key_of_rep.setdefault(rep, key) == key, six
+    assert len(rep_of_key) == 217
 
 
 def test_reflect_labels_involution():

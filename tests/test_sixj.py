@@ -5,12 +5,14 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sonsixj.exact import SurdValue, surd_normalize
-from sonsixj.labels import SixJLabels, shelepin
+from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, symmetry_orbit
 from sonsixj.sixj import (
     FACTORIAL_METHODS,
     METHODS,
+    MethodChoice,
     c_alpha,
     cache_clear,
     configure_cache,
@@ -21,7 +23,7 @@ from sonsixj.sixj import (
     sixj,
     threej_zero,
 )
-from sonsixj.verify import admissible_sets
+from sonsixj.verify import admissible_sets, random_admissible
 
 
 def test_dim_values():
@@ -136,6 +138,47 @@ def test_select_method_choices():
     assert choice2.predicted_terms == 2
 
 
+def reference_select(labels):
+    """The plain orbit scan: every distinct variant in label order, every method."""
+    best = None
+    for variant in sorted(symmetry_orbit(labels), key=lambda v: v.six):
+        arr = shelepin(variant)
+        r11, r13, r31 = arr.r(1, 1), arr.r(1, 3), arr.r(3, 1)
+        cands = ["A", "B", "C", "T3"]
+        if r11 == 0:
+            cands.append("StretchedE")
+        elif r11 == 1:
+            cands.append("NearStretchedE")
+        for m in cands:
+            key = (predicted_terms(m, r11, r13, r31), METHODS.index(m), variant.six)
+            if best is None or key < best[0]:
+                best = (key, MethodChoice(m, key[0], variant))
+    return best[1]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_select_method_matches_orbit_scan(n):
+    for six in admissible_sixes(6):
+        lab = SixJLabels(*six, n)
+        assert select_method(lab) == reference_select(lab), six
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(4, 12))
+def test_select_method_matches_orbit_scan_large_labels(rng, n):
+    lab = random_admissible(rng, n, 30)
+    assert select_method(lab) == reference_select(lab)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(4, 12))
+def test_auto_equals_every_forced_method(rng, n):
+    lab = random_admissible(rng, n, 30)
+    auto = sixj(lab, use_cache=False).value
+    for method in ("A", "B", "C"):
+        assert sixj(lab, method=method).value == auto, method
+
+
 def test_predicted_terms_bounds_actual():
     for six in admissible_sets(3)[::5]:
         lab = SixJLabels(*six, 6)
@@ -145,8 +188,6 @@ def test_predicted_terms_bounds_actual():
 
 
 def test_sixj_orbit_invariance():
-    from sonsixj.labels import symmetry_orbit
-
     lab = SixJLabels(1, 3, 2, 3, 1, 4, 7)
     ref = sixj(lab, method="A").value
     for member in symmetry_orbit(lab):
@@ -238,3 +279,20 @@ def test_non_int_labels_rejected(bad):
         for call in (sixj, c_alpha, lambda x: sixj(x, method="B")):
             with pytest.raises(ValueError, match=f"label {name} = "):
                 call(lab)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_dim_rejects_non_int(bad):
+    with pytest.raises(ValueError, match="label l = "):
+        dim(5, bad)
+    with pytest.raises(ValueError, match="label n = "):
+        dim(bad, 2)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_threej_zero_rejects_non_int(bad):
+    for i, name in enumerate(("n", "l1", "l2", "l3")):
+        args = [6, 2, 2, 2]
+        args[i] = bad
+        with pytest.raises(ValueError, match=f"label {name} = "):
+            threej_zero(*args)
