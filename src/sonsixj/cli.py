@@ -40,6 +40,7 @@ from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, run_suite
 
 DEFAULT_DIGITS = 16
+MAX_N_VALUES = 10_000  # most n values one --n may expand to
 
 _EXACT_PATTERN = re.compile(
     r"^(?P<num>-?\d+)(?:/(?P<den>\d+))?"
@@ -146,12 +147,15 @@ def _parse_n_list(text: str) -> list[int]:
         part = part.strip()
         m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", part)
         if m:
-            # an empty range (hi < lo) is legal and contributes nothing
-            out.extend(range(int(m.group(1)), int(m.group(2)) + 1))
+            lo, hi = int(m.group(1)), int(m.group(2))
         elif re.fullmatch(r"-?\d+", part):
-            out.append(int(part))
+            lo = hi = int(part)
         else:
             raise MalformedQuery(f"cannot parse n value {part!r}")
+        # an empty range (hi < lo) is legal and contributes nothing
+        if len(out) + max(0, hi - lo + 1) > MAX_N_VALUES:
+            raise MalformedQuery(f"--n {text!r} expands to more than {MAX_N_VALUES} values")
+        out.extend(range(lo, hi + 1))
     return out
 
 

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-HalfInt = Fraction
-
 
 class PoleError(ArithmeticError):
     """A gamma factor is evaluated at a nonpositive integer with no cancelling partner."""
@@ -36,22 +33,6 @@ class RadicandMismatchError(ArithmeticError):
 def is_half_integer(x: Fraction | int) -> bool:
     """True when 2*x is an integer."""
     return (2 * Fraction(x)).denominator == 1
-
-
-def twice(x: Fraction | int) -> int:
-    """The integer 2*x of a half-integer value."""
-    d = 2 * Fraction(x)
-    if d.denominator != 1:
-        raise ValueError(f"not a half-integer: {x}")
-    return int(d)
-
-
-def as_integer(x: Fraction | int) -> int:
-    """The value as a plain int; raises if it is not integral."""
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"not an integer: {x}")
-    return int(f)
 
 
 def is_nonpositive_integer(x: Fraction | int) -> bool:
@@ -174,7 +155,6 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), exact; (a)_0 = 1."""
     if k < 0:
         raise ValueError("pochhammer needs k >= 0")
-    a = Fraction(a)
     out = Fraction(1)
     for i in range(k):
         out *= a + i
@@ -196,35 +176,6 @@ def factorial(n: int) -> int:
     while len(table) <= n:
         table.append(table[-1] * len(table))
     return table[n]
-
-
-_ODD_PRODUCTS: list[int] = [1]
-
-
-def _odd_product(t: int) -> int:
-    """1 * 3 * 5 * ... * (2t - 1)."""
-    table = _ODD_PRODUCTS
-    while len(table) <= t:
-        table.append(table[-1] * (2 * len(table) - 1))
-    return table[t]
-
-
-def poch_half(twice_a: int, k: int) -> Fraction:
-    """(a)_k for a = twice_a / 2 with twice_a odd; exact and never zero."""
-    if twice_a % 2 == 0:
-        raise ValueError("poch_half needs an odd doubled argument")
-    if k < 0:
-        raise ValueError("poch_half needs k >= 0")
-    num = 1
-    v = twice_a
-    for _ in range(k):
-        num *= v
-        v += 2
-    return Fraction(num, 2**k)
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +427,6 @@ class FactoredProduct:
         self.sign = 1
         self._zero = False
 
-    def copy(self) -> "FactoredProduct":
-        out = FactoredProduct()
-        out.exps = dict(self.exps)
-        out.pi_half = self.pi_half
-        out.sign = self.sign
-        out._zero = self._zero
-        return out
-
     def is_zero(self) -> bool:
         return self._zero
 
@@ -586,17 +529,6 @@ class FactoredProduct:
             else:
                 den *= p**-e
         return Fraction(self.sign * num, den)
-
-    def to_gamma_exact(self) -> GammaExact:
-        if self._zero:
-            return GammaExact(Fraction(0))
-        num = den = 1
-        for p, e in self.exps.items():
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p**-e
-        return GammaExact(Fraction(self.sign * num, den), self.pi_half)
 
     def sqrt_surd(self) -> SurdValue:
         """Exact square root as a SurdValue; requires a nonnegative pi-free value."""

@@ -23,9 +23,9 @@ from .exact import (
     factorial,
     gamma_exact,
     is_nonpositive_integer,
+    pochhammer,
 )
 from .labels import SixJLabels, admissible, reflect_labels, require_int_labels, shelepin
-from .sixj import c_alpha as _production_c_alpha
 
 VARIANTS = ("1a", "1b", "2a", "2b", "3a", "3b")
 DEPENDENCY_FAMILY = {"1a": "bala", "2a": "bala", "3b": "bala",
@@ -56,13 +56,6 @@ def _axis_max(uppers) -> int:
     return min(stops)
 
 
-def _poch(x: Fraction, k: int) -> Fraction:
-    v = Fraction(1)
-    for i in range(k):
-        v *= x + i
-    return v
-
-
 def kdf_eval(p: KdFParams) -> Fraction:
     """Evaluate the terminating series exactly."""
     smax = _axis_max(p.b)
@@ -79,22 +72,22 @@ def kdf_eval(p: KdFParams) -> Fraction:
     for s in range(smax + 1):
         brow = Fraction(1)
         for bi in p.b:
-            brow *= _poch(bi, s)
+            brow *= pochhammer(bi, s)
         if brow == 0:
             continue
         for dj in p.d:
-            brow /= _poch(dj, s)
+            brow /= pochhammer(dj, s)
         brow *= p.x ** s / factorial(s)
         for t in range(tmax + 1):
             trow = Fraction(1)
             for bi in p.b_prime:
-                trow *= _poch(bi, t)
+                trow *= pochhammer(bi, t)
             if trow == 0:
                 continue
             for dj in p.d_prime:
-                trow /= _poch(dj, t)
-            term = (brow * trow * _poch(p.a1, s + t) * p.y ** t
-                    / (factorial(t) * _poch(p.c1, s + t)))
+                trow /= pochhammer(dj, t)
+            term = (brow * trow * pochhammer(p.a1, s + t) * p.y ** t
+                    / (factorial(t) * pochhammer(p.c1, s + t)))
             total += term
     return total
 

@@ -124,9 +124,6 @@ class RArray:
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
         return tuple(tuple(b - a for a in self.alpha) for b in self.beta)
 
-    def admissible(self) -> bool:
-        return all(b - a >= 0 for b in self.beta for a in self.alpha)
-
     def permuted(self, row_perm: tuple[int, ...], col_perm: tuple[int, ...]) -> "RArray":
         return RArray(
             tuple(self.alpha[k] for k in col_perm),
@@ -155,11 +152,6 @@ def shelepin(labels: SixJLabels) -> RArray:
     alpha = ((c + d + e) // 2, (b + d + f) // 2, (a + c + f) // 2, (a + b + e) // 2)
     beta = ((a + b + c + d) // 2, (a + d + e + f) // 2, (b + c + e + f) // 2)
     return RArray(alpha, beta)
-
-
-def labels_from_rarray(arr: RArray, n: int) -> SixJLabels:
-    """Inverse of shelepin for the given n."""
-    return arr.labels(n)
 
 
 def orbit_variants(labels: SixJLabels) -> list[SixJLabels]:
@@ -206,12 +198,3 @@ def reflect_labels(labels: SixJLabels, names: str) -> SixJLabels:
         i = _POSITIONS[ch]
         six[i] = -six[i] - n + 2
     return labels.replace_six(six)
-
-
-def hook_reflect(labels: SixJLabels, kind: str) -> SixJLabels:
-    """Hook continuation of labels: 'single_d' reflects d, 'triple_cdf' reflects c, d, f."""
-    if kind == "single_d":
-        return reflect_labels(labels, "d")
-    if kind == "triple_cdf":
-        return reflect_labels(labels, "cdf")
-    raise ValueError(f"unknown hook reflection kind: {kind}")

@@ -22,7 +22,7 @@ from .exact import (
     gamma_ratio_product,
     is_half_integer,
 )
-from .labels import SixJLabels, admissible
+from .labels import SixJLabels, admissible, require_int_labels
 from .sixj import dim, nabla_tilde_0356, threej_zero
 
 HalfInt = Fraction
@@ -80,6 +80,7 @@ def _prefactor(labels: SixJLabels) -> SurdValue:
 
 def sixj_via_su2_triple(labels: SixJLabels) -> SurdValue:
     """Oracle: single sum over three SU(2) 6j coefficients (even n)."""
+    require_int_labels(labels)
     _check_even_n(labels)
     if not admissible(labels):
         return SurdValue.zero()
@@ -118,6 +119,7 @@ def sixj_via_su2_pair(labels: SixJLabels, reinstate_phase: bool = False) -> Surd
     reinstate_phase injects a sign (-1)**((g-e)/2) that does NOT belong in this
     route; it exists so tests can confirm the comparison has teeth.
     """
+    require_int_labels(labels)
     _check_even_n(labels)
     if not admissible(labels):
         return SurdValue.zero()

@@ -35,6 +35,11 @@ class SeriesTable(NamedTuple):
     ``up1`` rows run to x1, ``down1`` rows to m1 - x1, ``up2`` to x2 and
     ``down2`` to m2 - x2.  The two coupling rows are (integer, tau coefficient,
     slope in x2): ``couple_up`` runs to x1 and ``couple_down`` to m1 - x1.
+
+    The prefactor of the sum is read from the same table: ``factorials`` are the
+    six r_ik whose factorials divide it, ``shifted`` the six r_ik that enter as
+    Gamma(r_ik + tau + 1) (as (n - r_ik + 1)! denominators at rank -2n), and
+    ``lead_alpha`` the alpha of its leading factorial.
     """
 
     m1: int
@@ -45,6 +50,9 @@ class SeriesTable(NamedTuple):
     down2: tuple[tuple[int, int], ...]
     couple_up: tuple[int, int, int]
     couple_down: tuple[int, int, int]
+    factorials: tuple[int, ...]
+    shifted: tuple[int, ...]
+    lead_alpha: int
 
 
 def series_table(arr: RArray, method: str) -> SeriesTable:
@@ -60,7 +68,10 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             up2=((r24, 1), (1 - r12, -1)),
             down2=((-a2, -1), (r32, 1)),
             couple_up=(b2 - b1 + 1, 0, 1),
-            couple_down=(1 - r21, -1, -1))
+            couple_down=(1 - r21, -1, -1),
+            factorials=(r11, r12, r13, r14, r21, r33),
+            shifted=(r22, r23, r24, r32, r33, r34),
+            lead_alpha=a3)
     if method == "B":
         return SeriesTable(
             r11, r31,
@@ -69,7 +80,10 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             up2=((-a2, -1), (1 - a3, -2)),
             down2=((r24, 1), (a1, 2)),
             couple_up=(1 - r34 - r11, -1, 1),
-            couple_down=(r34 + 1, 0, -1))
+            couple_down=(r34 + 1, 0, -1),
+            factorials=(r11, r12, r14, r21, r31, r33),
+            shifted=(r12, r22, r23, r24, r33, r34),
+            lead_alpha=a1)
     if method == "C":
         return SeriesTable(
             r11, r31,
@@ -78,7 +92,10 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             up2=((r23, 1), (r24, 1)),
             down2=((-a2, -1), (1 - r21, -1)),
             couple_up=(1 - r32 - r11, -1, 1),
-            couple_down=(r32 + 1, 0, -1))
+            couple_down=(r32 + 1, 0, -1),
+            factorials=(r11, r12, r21, r31, r33, r34),
+            shifted=(r22, r23, r24, r32, r33, r34),
+            lead_alpha=a1)
     raise ValueError(f"unknown series method {method!r}")
 
 

@@ -14,13 +14,14 @@ expansions implemented here:
   label sets (methods ``StretchedE``, ``NearStretchedE``).
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
-the cheapest evaluation; ``sixj`` ties everything together with a small LRU cache keyed
-by ``labels.orbit_key`` (sorted alpha, sorted beta, n), one entry per symmetry orbit.
+the cheapest evaluation; ``sixj`` ties everything together with a ``functools.lru_cache``
+keyed by ``labels.orbit_key`` (sorted alpha, sorted beta, n), one entry per symmetry
+orbit.  ``configure_cache``, ``cache_clear`` and ``cache_info`` resize, empty and report
+that cache.
 """
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +40,7 @@ from .exact import (
     is_nonpositive_integer,
 )
 from .labels import (
+    RArray,
     SixJLabels,
     admissible,
     canonical_representative,  # unused here; the benchmark's tracer wraps it under this name
@@ -73,12 +75,6 @@ def dim(n: int, l: int) -> int:
     if l < 0:
         raise ValueError(f"negative label {l}")
     return (2 * l + n - 2) * factorial(l + n - 3) // (factorial(l) * factorial(n - 2))
-
-
-def dim_formal(n: int, l: int) -> Fraction:
-    """Dimension polynomial continued to arbitrary integer l (may be negative)."""
-    ratio = gamma_ratio_product([l + n - 2], [l + 1])
-    return ratio.to_rational() * Fraction(2 * l + n - 2, factorial(n - 2))
 
 
 @lru_cache(maxsize=None)
@@ -129,27 +125,10 @@ def nabla_coupled_sq_fp(n: int, a: int, b: int, e: int, inverted: bool = False) 
     return fp
 
 
-def nabla_coupled_sq(n: int, a: int, b: int, e: int) -> GammaExact:
-    """Square of the coupled-basis triangular factor, exact for every n."""
-    return nabla_coupled_sq_fp(n, a, b, e).to_gamma_exact()
-
-
-def nabla_stretched_sq(n: int, a: int, b: int, e: int) -> GammaExact:
-    """Square of the stretched-basis triangular factor (first quotient pair inverted)."""
-    return nabla_coupled_sq_fp(n, a, b, e, inverted=True).to_gamma_exact()
-
-
-def nabla_tilde_0123(n: int, a: int, b: int, e: int) -> SurdValue:
-    """Coupled-basis triangular factor; rational-surd valued only for even n."""
-    if n % 2:
-        raise ResidualSqrtPiError("odd n leaves pi**(-1/2); use nabla_coupled_sq")
-    return nabla_coupled_sq_fp(n, a, b, e).sqrt_surd()
-
-
 def nabla_tilde_0356(n: int, a: int, b: int, e: int) -> SurdValue:
     """Stretched-basis triangular factor; rational-surd valued only for even n."""
     if n % 2:
-        raise ResidualSqrtPiError("odd n leaves pi**(-1/2); use nabla_stretched_sq")
+        raise ResidualSqrtPiError("odd n leaves pi**(-1/2)")
     return nabla_coupled_sq_fp(n, a, b, e, inverted=True).sqrt_surd()
 
 
@@ -179,39 +158,20 @@ def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     n = labels.n
     tau = Fraction(n, 2) - 1
     arr = shelepin(labels)
-    r = arr.r
-    a1, a2, a3, a4 = arr.alpha
-    b1, b3 = arr.beta[0], arr.beta[2]
-    half = Fraction(n, 2)
-    gamma_dens = [a2 + tau + 1, a3 + tau + 1, a4 + tau + 1, half, half, half]
-    if variant == "A":
-        phase = -1 if (a1 - a3) % 2 else 1
-        lead = Fraction(factorial(a3 + n - 3))
-        fact_dens = (r(1, 1), r(1, 2), r(1, 3), r(1, 4), r(2, 1), r(3, 3))
-        gamma_nums = [r(2, 2) + tau, r(2, 3) + tau, r(2, 4) + tau,
-                      r(3, 2) + tau, r(3, 3) + tau, r(3, 4) + tau]
-    elif variant == "B":
-        phase = -1 if (b1 - b3) % 2 else 1
-        lead = Fraction(factorial(a1 + n - 3))
-        fact_dens = (r(1, 1), r(1, 2), r(1, 4), r(2, 1), r(3, 1), r(3, 3))
-        gamma_nums = [r(1, 2) + tau, r(2, 2) + tau, r(2, 3) + tau,
-                      r(2, 4) + tau, r(3, 3) + tau, r(3, 4) + tau]
-    elif variant == "C":
-        phase = -1 if (b1 - b3) % 2 else 1
-        lead = Fraction(factorial(a1 + n - 3))
-        fact_dens = (r(1, 1), r(1, 2), r(2, 1), r(3, 1), r(3, 3), r(3, 4))
-        gamma_nums = [r(2, 2) + tau, r(2, 3) + tau, r(2, 4) + tau,
-                      r(3, 2) + tau, r(3, 3) + tau, r(3, 4) + tau]
-    else:
-        raise ValueError(f"unknown Pochhammer-form variant {variant}")
-    total, terms = double_sum(series_table(arr, variant), n - 2)
+    table = series_table(arr, variant)
+    total, terms = double_sum(table, n - 2)
     if total == 0:
         return Fraction(0), terms
-    for m in fact_dens:
+    a1, a2, a3, a4 = arr.alpha
+    b1, _, b3 = arr.beta
+    odd = (a1 - a3) % 2 if variant == "A" else (b1 - b3) % 2
+    lead = Fraction(factorial(table.lead_alpha + n - 3), factorial(n - 3))
+    for m in table.factorials:
         lead /= factorial(m)
-    lead /= factorial(n - 3)
-    gblock = gamma_ratio_product(gamma_nums, gamma_dens)
-    value = (gblock * (phase * lead * total)).to_rational()
+    half = Fraction(n, 2)
+    gamma_dens = [a2 + tau + 1, a3 + tau + 1, a4 + tau + 1, half, half, half]
+    gblock = gamma_ratio_product([r + tau for r in table.shifted], gamma_dens)
+    value = (gblock * (-lead * total if odd else lead * total)).to_rational()
     return value * _abcdef(labels), terms
 
 
@@ -581,39 +541,38 @@ def assemble_sixj(c_value: Fraction, labels: SixJLabels) -> SurdValue:
     return fp.sqrt_surd() * c_value
 
 
-_CACHE: "OrderedDict[tuple, SixJValue]" = OrderedDict()
-_CACHE_MAX = 65536
-_CACHE_LOCK = threading.Lock()  # every lookup, insert and eviction holds it
+DEFAULT_CACHE_SIZE = 65536
+
+
+def _evaluate(key: tuple) -> tuple[SurdValue, str, int]:
+    """(value, method, predicted terms) of the orbit with this ``orbit_key``.
+
+    Evaluates one member rebuilt from the key; every member selects the same method,
+    cost and variant.  The callees are module globals looked up on each call, so a
+    wrapper put in their place (as perfbench/tracing.py does) sees every miss.
+    """
+    labels = RArray(key[:4], key[4:7]).labels(key[7])
+    choice = select_method(labels)
+    ca = c_alpha(choice.variant, choice.method, allow_n3=True)  # sixj() checked n
+    return assemble_sixj(ca.value, choice.variant), choice.method, choice.predicted_terms
+
+
+_cached_evaluate = lru_cache(maxsize=DEFAULT_CACHE_SIZE)(_evaluate)
 
 
 def configure_cache(maxsize: int) -> None:
-    """Resize the value cache (one entry per symmetry orbit)."""
-    global _CACHE_MAX
-    with _CACHE_LOCK:
-        _CACHE_MAX = max(0, maxsize)
-        while len(_CACHE) > _CACHE_MAX:
-            _CACHE.popitem(last=False)
+    """Replace the value cache (one entry per symmetry orbit) by an empty one of this size."""
+    global _cached_evaluate
+    _cached_evaluate = lru_cache(maxsize=min(maxsize, sys.maxsize))(_evaluate)
 
 
 def cache_clear() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _cached_evaluate.cache_clear()
 
 
-def _cache_get(key: tuple) -> SixJValue | None:
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-        if hit is not None:
-            _CACHE.move_to_end(key)
-        return hit
-
-
-def _cache_put(key: tuple, value: SixJValue) -> None:
-    with _CACHE_LOCK:
-        if _CACHE_MAX > 0:
-            _CACHE[key] = value
-            if len(_CACHE) > _CACHE_MAX:
-                _CACHE.popitem(last=False)
+def cache_info():
+    """Hits, misses, maxsize and current size of the value cache (``functools`` CacheInfo)."""
+    return _cached_evaluate.cache_info()
 
 
 def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
@@ -631,13 +590,6 @@ def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
     if method != "auto":
         ca = c_alpha(labels, method, allow_n3=allow_n3)
         return SixJValue(assemble_sixj(ca.value, labels), labels, method, ca.terms)
-    key = orbit_key(labels)
-    hit = _cache_get(key) if use_cache else None
-    if hit is not None:
-        return SixJValue(hit.value, labels, hit.method_used, hit.predicted_terms)
-    choice = select_method(labels)
-    ca = c_alpha(choice.variant, choice.method, allow_n3=allow_n3)
-    value = assemble_sixj(ca.value, choice.variant)
-    if use_cache:
-        _cache_put(key, SixJValue(value, labels, choice.method, choice.predicted_terms))
-    return SixJValue(value, labels, choice.method, choice.predicted_terms)
+    evaluate = _cached_evaluate if use_cache else _evaluate
+    value, method_used, terms = evaluate(orbit_key(labels))
+    return SixJValue(value, labels, method_used, terms)

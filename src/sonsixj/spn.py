@@ -152,36 +152,20 @@ def u_sp(labels: SpLabels, method: str = "a") -> SpU:
         raise ValueError("rank n must be a positive integer")
     if any(x < 0 for x in labels.six):
         raise ValueError(f"negative column height in {labels.six}")
-    six = labels.six
-    if not all(triangle_ok(*(six[i] for i in t)) for t in TRIADS):
+    if not sp_admissible(labels):
         return SpU(SurdValue.zero(), labels, method)
     arr = _rarray(labels)
-    a1, a2, a3, a4 = arr.alpha
-    b1, b2, b3 = arr.beta
-    if any(n - ak < 0 for ak in arr.alpha):
-        return SpU(SurdValue.zero(), labels, method)
-
+    _, a2, a3, a4 = arr.alpha
+    table = series_table(arr, method.upper())
     total = sum(term for _, term in sp_sum_terms(arr, n, method))
-    r = arr.rows
-    fact_dens = {
-        "a": (r[0][0], r[0][1], r[0][2], r[0][3], r[1][0], r[2][2]),
-        "b": (r[0][0], r[0][1], r[0][3], r[1][0], r[2][0], r[2][2]),
-        "c": (r[0][0], r[0][1], r[1][0], r[2][0], r[2][2], r[2][3]),
-    }[method]
-    shifted_dens = {
-        "a": (r[1][1], r[1][2], r[1][3], r[2][1], r[2][2], r[2][3]),
-        "b": (r[0][1], r[1][1], r[1][2], r[1][3], r[2][2], r[2][3]),
-        "c": (r[1][1], r[1][2], r[1][3], r[2][1], r[2][2], r[2][3]),
-    }[method]
-    lead_alpha = a3 if method == "a" else a1
-    den = factorial(2 * n + 2) * factorial(n) * factorial(2 * n + 2 - lead_alpha)
-    for v in fact_dens:
+    den = factorial(2 * n + 2) * factorial(n) * factorial(2 * n + 2 - table.lead_alpha)
+    for v in table.factorials:
         den *= factorial(v)
-    for v in shifted_dens:
+    for v in table.shifted:
         den *= factorial(n - v + 1)
     num = factorial(n - a2) * factorial(n - a3) * factorial(n - a4)
     rational = Fraction(num, den) * total
-    sign_exp = b3 if method == "c" else b1
+    sign_exp = arr.beta[2] if method == "c" else arr.beta[0]
     if sign_exp % 2:
         rational = -rational
     return SpU(_sqrt_block(labels, arr) * rational, labels, method)

@@ -30,7 +30,6 @@ from .labels import SixJLabels, admissible, admissible_sixes, shelepin, symmetry
 from .oracle import sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from .sixj import c_alpha, cache_clear, select_method, sixj
 from .spn import (
-    SP_METHODS,
     SpLabels,
     dim_sp,
     sp_admissible,

@@ -1,5 +1,6 @@
 """Command line interface: parsing, rendering, exit codes, sweeps."""
 
+import importlib
 import json
 import os
 from concurrent.futures import Future
@@ -49,6 +50,19 @@ def test_parse_n_list():
     assert _parse_n_list("9..4") == []
     with pytest.raises(MalformedQuery):
         _parse_n_list("abc")
+
+
+def test_parse_n_list_bounded(capsys):
+    # checked before the list is built: the last two would not fit in memory
+    assert len(_parse_n_list(f"1..{cli.MAX_N_VALUES}")) == cli.MAX_N_VALUES
+    for text in (f"1..{cli.MAX_N_VALUES + 1}", f"1..{cli.MAX_N_VALUES},7",
+                 "4..10000000000", "0..99999999999999999999999999"):
+        with pytest.raises(MalformedQuery, match="expands to more than"):
+            _parse_n_list(text)
+    code = main(["sweep", "--kind", "sixj", "--n", "4..10000000000", "--max-label", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "expands to more than" in err
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +189,18 @@ def test_exit_code_unsupported_n(capsys):
 
 
 def test_exit_code_bad_cache_env(capsys, monkeypatch):
+    sixj_mod = importlib.import_module("sonsixj.sixj")
+    # main() replaces the process-wide cache; put the original back afterwards
+    monkeypatch.setattr(sixj_mod, "_cached_evaluate", sixj_mod._cached_evaluate)
     monkeypatch.setenv("SONSIXJ_CACHE_SIZE", "many")
     assert main(["dim", "--n", "5", "--l", "2"]) == 2
     capsys.readouterr()
+    monkeypatch.setenv("SONSIXJ_CACHE_SIZE", str(10**30))  # beyond what lru_cache takes
+    assert run_cli(capsys, ["dim", "--n", "5", "--l", "2"]) == (0, "14\n")
     monkeypatch.setenv("SONSIXJ_CACHE_SIZE", "64")
     code, out = run_cli(capsys, ["dim", "--n", "5", "--l", "2"])
     assert (code, out) == (0, "14\n")
+    assert sixj_mod.cache_info().maxsize == 64
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ from sonsixj.exact import (
     RadicandMismatchError,
     ResidualSqrtPiError,
     SurdValue,
-    binomial,
     factor_int,
     factorial,
     gamma_exact,
     gamma_ratio_product,
-    poch_half,
     pochhammer,
     squarefree_decompose,
     surd_normalize,
@@ -114,19 +112,11 @@ def test_pochhammer_values():
         pochhammer(1, -1)
 
 
-@given(
-    st.integers(min_value=-15, max_value=15).filter(lambda m: m % 2),
-    st.integers(min_value=0, max_value=8),
-)
-def test_poch_half_matches_generic(m, k):
-    assert poch_half(m, k) == pochhammer(Fraction(m, 2), k)
-
-
 def test_factorial_and_binomial():
     assert factorial(0) == 1
     assert factorial(6) == 720
-    assert binomial(10, 3) == 120
-    assert binomial(4, 0) == 1
+    assert factorial(10) // (factorial(3) * factorial(7)) == 120
+    assert factorial(4) // (factorial(0) * factorial(4)) == 1
     with pytest.raises(ValueError):
         factorial(-1)
 

@@ -1,0 +1,45 @@
+"""The module attributes perfbench/tracing.py replaces to time each layer."""
+
+import importlib
+
+import pytest
+
+from sonsixj.labels import SixJLabels
+
+HOOKS = {
+    "sixj": ("canonical_representative", "select_method", "c_alpha", "assemble_sixj",
+             "cache_clear"),
+    "cli": ("sixj", "render_exact", "render_decimal"),
+    "spn": ("sp_sum_terms",),
+}
+
+
+@pytest.mark.parametrize("module, attr", [(m, a) for m, attrs in HOOKS.items() for a in attrs])
+def test_hook_exists(module, attr):
+    # the package rebinds sonsixj.sixj to the function, so fetch modules by name
+    assert callable(getattr(importlib.import_module(f"sonsixj.{module}"), attr))
+
+
+def test_sixj_calls_module_level_callees(monkeypatch):
+    sixj_mod = importlib.import_module("sonsixj.sixj")
+    calls = {name: 0 for name in ("select_method", "c_alpha", "assemble_sixj")}
+
+    def counting(name):
+        original = getattr(sixj_mod, name)
+
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return stand_in
+
+    for name in calls:
+        monkeypatch.setattr(sixj_mod, name, counting(name))
+    sixj_mod.cache_clear()
+    lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
+    first = sixj_mod.sixj(lab)
+    assert calls == {"select_method": 1, "c_alpha": 1, "assemble_sixj": 1}  # miss
+    assert sixj_mod.sixj(lab) == first
+    assert calls == {"select_method": 1, "c_alpha": 1, "assemble_sixj": 1}  # hit
+    sixj_mod.sixj(lab, use_cache=False)
+    assert calls == {"select_method": 2, "c_alpha": 2, "assemble_sixj": 2}

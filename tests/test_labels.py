@@ -11,8 +11,6 @@ from sonsixj.labels import (
     admissible,
     admissible_sixes,
     canonical_representative,
-    hook_reflect,
-    labels_from_rarray,
     orbit_key,
     orbit_variants,
     reflect_labels,
@@ -65,7 +63,7 @@ def test_overlap_array_parity_error():
 def test_labels_round_trip():
     for six in [(2, 2, 2, 2, 2, 2), (1, 3, 2, 3, 1, 4), (0, 2, 2, 4, 2, 2)]:
         lab = SixJLabels(*six, 7)
-        assert labels_from_rarray(shelepin(lab), 7) == lab
+        assert shelepin(lab).labels(7) == lab
 
 
 def test_orbit_variant_count():
@@ -155,11 +153,3 @@ def test_reflect_labels_values():
     ref = reflect_labels(lab, "d")
     assert ref == SixJLabels(1, 3, 2, -7, 1, 4, 6)
     assert reflect_labels(lab, "cdf") == SixJLabels(1, 3, 2, -7, -5, -8, 6)
-
-
-def test_hook_reflect_kinds():
-    lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
-    assert hook_reflect(lab, "single_d") == reflect_labels(lab, "d")
-    assert hook_reflect(lab, "triple_cdf") == reflect_labels(lab, "cdf")
-    with pytest.raises(ValueError):
-        hook_reflect(lab, "both")

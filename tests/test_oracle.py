@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sonsixj.exact import SurdValue, surd_normalize
-from sonsixj.labels import SixJLabels
+from sonsixj.labels import SixJLabels, admissible_sixes
 from sonsixj.oracle import sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from sonsixj.sixj import sixj
 from sonsixj.verify import admissible_sets
@@ -96,3 +96,23 @@ def test_reduction_requires_even_n():
 def test_reduction_inadmissible_is_zero():
     assert sixj_via_su2_triple(SixJLabels(0, 0, 1, 0, 0, 1, 6)).is_zero()
     assert sixj_via_su2_pair(SixJLabels(1, 1, 1, 1, 1, 1, 4)).is_zero()
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
+def test_non_int_labels_rejected(bad):
+    for i, name in enumerate(SixJLabels._fields):
+        fields = [1, 1, 2, 1, 1, 2, 6]
+        fields[i] = bad
+        lab = SixJLabels(*fields)
+        for route in (sixj_via_su2_pair, sixj_via_su2_triple):
+            with pytest.raises(ValueError, match=f"label {name} = "):
+                route(lab)
+
+
+def test_n3_equals_su2():
+    # SO(3) is SU(2) at integer spin: the only oracle at an odd n, and at Gamma(3/2)
+    count = 0
+    for six in admissible_sixes(4):
+        assert sixj(SixJLabels(*six, 3), allow_n3=True, use_cache=False).value == su2_6j(*six), six
+        count += 1
+    assert count == 570

@@ -10,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from sonsixj.exact import SurdValue, surd_normalize
 from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, symmetry_orbit
 from sonsixj.sixj import (
+    DEFAULT_CACHE_SIZE,
     FACTORIAL_METHODS,
     METHODS,
     MethodChoice,
     c_alpha,
     cache_clear,
+    cache_info,
     configure_cache,
     dim,
-    dim_formal,
     predicted_terms,
     select_method,
     sixj,
@@ -32,12 +33,6 @@ def test_dim_values():
     assert dim(10, 3) == 210
     assert dim(6, 0) == 1
     assert dim(7, 1) == 7
-
-
-def test_dim_formal_matches_dim():
-    for n in range(4, 11):
-        for l in range(0, 6):
-            assert dim_formal(n, l) == dim(n, l)
 
 
 def test_threej_diagonal_law():
@@ -217,17 +212,28 @@ def test_n_guard():
 
 def test_cache_round_trip():
     configure_cache(16)
-    cache_clear()
-    lab = SixJLabels(2, 2, 4, 4, 2, 2, 8)
-    first = sixj(lab)
-    second = sixj(lab)
-    assert first.value == second.value
-    assert second.method_used == first.method_used
-    # orbit members share the cache slot and the value
-    swapped = SixJLabels(2, 2, 4, 4, 2, 2, 8)._replace(a=4, d=2, b=2, c=2)
-    uncached = sixj(lab, use_cache=False)
-    assert uncached.value == first.value
-    cache_clear()
+    try:
+        lab = SixJLabels(2, 2, 4, 4, 2, 2, 8)
+        first = sixj(lab)
+        second = sixj(lab)
+        assert first.value == second.value
+        assert second.method_used == first.method_used
+        assert cache_info()[:2] == (1, 1)  # hits, misses
+        # orbit members share the cache slot and the value
+        swapped = lab._replace(a=4, d=2, b=2, c=2)
+        third = sixj(swapped)
+        assert cache_info()[:2] == (2, 1)
+        assert cache_info().currsize == 1
+        assert third.labels == swapped
+        assert (third.value, third.method_used, third.predicted_terms) == (
+            first.value, first.method_used, first.predicted_terms)
+        uncached = sixj(lab, use_cache=False)
+        assert uncached.value == first.value
+        assert cache_info()[:2] == (2, 1)
+        cache_clear()
+        assert cache_info() == (0, 0, 16, 0)
+    finally:
+        configure_cache(DEFAULT_CACHE_SIZE)
 
 
 def test_cache_disabled():
@@ -235,8 +241,12 @@ def test_cache_disabled():
     try:
         lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
         assert sixj(lab).value == SurdValue.of_rational(Fraction(9, 400))
+        assert sixj(lab).value == SurdValue.of_rational(Fraction(9, 400))
+        assert cache_info()[:2] == (0, 2)  # hits, misses
+        assert cache_info().currsize == 0
     finally:
-        configure_cache(4096)
+        configure_cache(DEFAULT_CACHE_SIZE)
+    assert cache_info().maxsize == 65536
 
 
 def test_cache_is_thread_safe():
@@ -265,8 +275,7 @@ def test_cache_is_thread_safe():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old_interval)
-        configure_cache(4096)
-        cache_clear()
+        configure_cache(DEFAULT_CACHE_SIZE)
     assert not errors, errors[:1]
 
 
