@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 from .exact import SurdValue, surd_normalize
 from .labels import SixJLabels, admissible_sixes, symmetry_orbit
-from .sixj import METHODS, FACTORIAL_METHODS, c_alpha, configure_cache, dim, sixj, threej_zero
+from .sixj import METHODS, FACTORIAL_METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, run_suite
 
@@ -53,12 +53,8 @@ class MalformedQuery(ValueError):
 
 
 def render_exact(value: SurdValue | Fraction | int) -> str:
-    """Canonical exact string: 'p/q' or 'p/q*sqrt(r)'."""
-    if not isinstance(value, SurdValue):
-        return str(Fraction(value))
-    if value.radicand == 1:
-        return str(value.coeff)
-    return f"{value.coeff}*sqrt({value.radicand})"
+    """Canonical exact string: 'p/q' or 'p/q*sqrt(r)', as ``SurdValue.__str__`` writes it."""
+    return str(value if isinstance(value, SurdValue) else Fraction(value))
 
 
 def parse_exact(text: str) -> SurdValue:
@@ -171,29 +167,29 @@ def _single_n(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sixj(args, labels: list[int]) -> int:
-    six = _need_labels(labels, 6, "sixj")
-    n = _single_n(args.n)
-    lab = SixJLabels(*six, n)
-    result = sixj(lab, method=args.method, allow_n3=args.allow_n3)
-    _emit(
-        args,
-        _payload("sixj", n, six, result.method_used, result.predicted_terms, result.value),
-        result.value,
-    )
-    return 0
+def _evaluate(kind: str, six: Sequence[int], n: int, method: str,
+              allow_n3: bool = False) -> tuple[dict, SurdValue | Fraction]:
+    """(json payload, exact value) of one sixj, calpha or sp_u query.
+
+    ``auto`` means A for calpha and a for sp_u.
+    """
+    if kind == "sixj":
+        result = sixj(SixJLabels(*six, n), method=method, allow_n3=allow_n3)
+        method_used, terms = result.method_used, result.predicted_terms
+    elif kind == "calpha":
+        result = c_alpha(SixJLabels(*six, n), method if method != "auto" else "A", allow_n3=allow_n3)
+        method_used, terms = result.method, result.terms
+    else:
+        result = u_sp(SpLabels(*six, n), method if method != "auto" else "a")
+        method_used, terms = result.method, None
+    return _payload(kind, n, six, method_used, terms, result.value), result.value
 
 
-def _cmd_calpha(args, labels: list[int]) -> int:
-    six = _need_labels(labels, 6, "calpha")
+def _cmd_value(args, labels: list[int]) -> int:
+    """The sixj, calpha and sp_u queries: six labels, one n, one value."""
+    six = _need_labels(labels, 6, args.kind)
     n = _single_n(args.n)
-    lab = SixJLabels(*six, n)
-    result = c_alpha(lab, args.method, allow_n3=args.allow_n3)
-    _emit(
-        args,
-        _payload("calpha", n, six, result.method, result.terms, result.value),
-        result.value,
-    )
+    _emit(args, *_evaluate(args.kind, six, n, args.method, getattr(args, "allow_n3", False)))
     return 0
 
 
@@ -220,14 +216,6 @@ def _cmd_sp_dim(args, labels: list[int]) -> int:
     n = _single_n(args.n)
     value = dim_sp(n, args.nu)
     _emit(args, _payload("sp_dim", n, [args.nu], None, None, Fraction(value)), Fraction(value))
-    return 0
-
-
-def _cmd_sp_u(args, labels: list[int]) -> int:
-    six = _need_labels(labels, 6, "sp_u")
-    n = _single_n(args.n)
-    result = u_sp(SpLabels(*six, n), args.method)
-    _emit(args, _payload("sp_u", n, six, result.method, None, result.value), result.value)
     return 0
 
 
@@ -288,17 +276,7 @@ SweepTask = tuple[str, tuple[int, ...], int, str]
 
 
 def _sweep_eval(task: SweepTask) -> str:
-    kind, six, n, method = task
-    if kind == "sixj":
-        result = sixj(SixJLabels(*six, n), method=method)
-        payload = _payload("sixj", n, six, result.method_used, result.predicted_terms, result.value)
-    elif kind == "calpha":
-        result = c_alpha(SixJLabels(*six, n), method if method != "auto" else "A")
-        payload = _payload("calpha", n, six, result.method, result.terms, result.value)
-    else:
-        result = u_sp(SpLabels(*six, n), method if method != "auto" else "a")
-        payload = _payload("sp_u", n, six, result.method, None, result.value)
-    return json.dumps(payload, separators=(", ", ": "))
+    return json.dumps(_evaluate(*task)[0], separators=(", ", ": "))
 
 
 def _sweep_tasks(args) -> Iterator[SweepTask]:
@@ -379,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="auto", choices=("auto",) + METHODS + FACTORIAL_METHODS)
     p.add_argument("--allow-n3", action="store_true")
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_sixj)
+    p.set_defaults(handler=_cmd_value)
 
     p = sub.add_parser("calpha", help="normalization-free core coefficient")
     p.add_argument("--n", required=True)
     p.add_argument("--method", default="A", choices=METHODS + FACTORIAL_METHODS)
     p.add_argument("--allow-n3", action="store_true")
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_calpha)
+    p.set_defaults(handler=_cmd_value)
 
     p = sub.add_parser("threej", help="3j-symbol with zero projections")
     p.add_argument("--n", required=True)
@@ -410,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--method", default="a", choices=SP_METHODS)
     _add_format_flags(p)
-    p.set_defaults(handler=_cmd_sp_u)
+    p.set_defaults(handler=_cmd_value)
 
     p = sub.add_parser("orbit", help="all label sets sharing the same value")
     p.add_argument("--n", required=True)
@@ -442,10 +420,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_size = os.environ.get("SONSIXJ_CACHE_SIZE")
     if cache_size is not None:
         try:
-            configure_cache(int(cache_size))
+            size = max(0, min(int(cache_size), sys.maxsize))  # the sizes lru_cache takes
         except ValueError:
             print(f"SONSIXJ_CACHE_SIZE must be an integer, got {cache_size!r}", file=sys.stderr)
             return 2
+        if size != cache_info().maxsize:  # a new cache would drop what this process holds
+            configure_cache(size)
     rest, labels = extract_labels(argv)
     parser = build_parser()
     try:
@@ -457,9 +437,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.kind = args.kind_inner
     try:
         return args.handler(args, labels)
-    except MalformedQuery as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,23 +162,6 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# integer-argument fast paths
-# ---------------------------------------------------------------------------
-
-_FACTORIALS: list[int] = [1]
-
-
-def factorial(n: int) -> int:
-    """n! from a growing shared table."""
-    if n < 0:
-        raise ValueError(f"factorial of negative {n}")
-    table = _FACTORIALS
-    while len(table) <= n:
-        table.append(table[-1] * len(table))
-    return table[n]
-
-
-# ---------------------------------------------------------------------------
 # squarefree surds
 # ---------------------------------------------------------------------------
 

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .exact import (
     GammaExact,
     PoleError,
-    factorial,
     gamma_exact,
     is_nonpositive_integer,
     pochhammer,

@@ -97,10 +97,6 @@ def admissible_sixes(max_label: int) -> Iterator[tuple[int, int, int, int, int, 
                             yield a, b, e, d, c, f
 
 
-_PERMS3 = tuple(permutations(range(3)))
-_PERMS4 = tuple(permutations(range(4)))
-
-
 @dataclass(frozen=True)
 class RArray:
     """Triad half-sum array: alpha_k from the four triads, beta_i from label pair sums.
@@ -123,12 +119,6 @@ class RArray:
     @property
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
         return tuple(tuple(b - a for a in self.alpha) for b in self.beta)
-
-    def permuted(self, row_perm: tuple[int, ...], col_perm: tuple[int, ...]) -> "RArray":
-        return RArray(
-            tuple(self.alpha[k] for k in col_perm),
-            tuple(self.beta[i] for i in row_perm),
-        )
 
     def labels(self, n: int) -> SixJLabels:
         a1, a2, a3, a4 = self.alpha
@@ -155,12 +145,16 @@ def shelepin(labels: SixJLabels) -> RArray:
 
 
 def orbit_variants(labels: SixJLabels) -> list[SixJLabels]:
-    """All 144 row/column rearrangements as label sets (with repetitions)."""
+    """All 144 row/column rearrangements as label sets (with repetitions), rows outermost.
+
+    Each is ``RArray.labels`` of a permuted array, written out in integers so that no
+    ``RArray`` is built per variant.
+    """
     arr = shelepin(labels)
     n = labels.n
-    return [
-        arr.permuted(rp, cp).labels(n) for rp in _PERMS3 for cp in _PERMS4
-    ]
+    return [SixJLabels(a3 + a4 - b3, a2 + a4 - b2, a1 + a4 - b1, a1 + a2 - b3, a1 + a3 - b2, a2 + a3 - b1, n)
+            for b1, b2, b3 in permutations(arr.beta)
+            for a1, a2, a3, a4 in permutations(arr.alpha)]
 
 
 def symmetry_orbit(labels: SixJLabels) -> frozenset[SixJLabels]:

@@ -14,11 +14,11 @@ n only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .exact import (
     FactoredProduct,
     SurdValue,
-    factorial,
     gamma_ratio_product,
     is_half_integer,
 )

@@ -2,15 +2,17 @@
 
 The symbol factors as a rational core coefficient times a square root assembled from
 four triangular normalization factors.  The core coefficient has several equivalent
-expansions implemented here:
+expansions; ``c_alpha`` looks up the one it is asked for in ``_EVALUATORS``, one
+function per method name:
 
 * three production double sums over Pochhammer symbols in the half-sum array
   parameters (methods ``A``, ``B``, ``C``), evaluated in integer arithmetic by the
   one kernel in ``series`` at rank n (the Sp(2n) coefficients use it at rank -2n),
 * three factorial-form double sums written directly in the labels, kept as an
   independent test path (methods ``AFactorial``, ``BFactorial``, ``CFactorial``),
-* a triple sum (method ``T3``),
-* closed forms for stretched (e = a + b) and near-stretched (e = a + b - 2)
+* a triple sum (method ``T3``); these four Gamma-product sums share one loop,
+  ``_gamma_sum``, and supply only their prefactors and lattice terms,
+* one closed form for stretched (e = a + b) and near-stretched (e = a + b - 2)
   label sets (methods ``StretchedE``, ``NearStretchedE``).
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
@@ -24,8 +26,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
+from math import factorial
 from typing import NamedTuple
 
 from .exact import (
@@ -34,7 +37,6 @@ from .exact import (
     PoleError,
     ResidualSqrtPiError,
     SurdValue,
-    factorial,
     gamma_exact,
     gamma_ratio_product,
     is_nonpositive_integer,
@@ -176,17 +178,8 @@ def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
 
 
 # ---------------------------------------------------------------------------
-# factorial-form double sums (independent test path, written in the labels)
+# Gamma-product sums (independent test path, written in the labels)
 # ---------------------------------------------------------------------------
-
-def _acc(total: GammaExact, g: GammaExact, sgn: int) -> GammaExact:
-    """Accumulate series terms, which must share one sqrt(pi) exponent."""
-    if total.is_zero():
-        return GammaExact(sgn * g.coeff, g.sqrtpi_exp)
-    if total.sqrtpi_exp != g.sqrtpi_exp:
-        raise ResidualSqrtPiError("inconsistent sqrt(pi) exponent across series terms")
-    return GammaExact(total.coeff + sgn * g.coeff, total.sqrtpi_exp)
-
 
 def _term_gamma_product(nums, dens) -> GammaExact | None:
     """Product of gammas; None when a denominator pole makes the term zero."""
@@ -201,6 +194,33 @@ def _term_gamma_product(nums, dens) -> GammaExact | None:
     for x in dens:
         out = out / _gamma(Fraction(x))
     return out
+
+
+def _gamma_sum(labels: SixJLabels, pre_nums, pre_dens, sign_exp: int, points) -> tuple[Fraction, int]:
+    """A Gamma-product series and its prefactor; returns (value, nonzero terms).
+
+    ``points`` yields (s, nums, dens) per lattice point, for the term
+    (-1)**s * prod Gamma(nums) / prod Gamma(dens).  The terms must share one
+    sqrt(pi) exponent.  The sum is multiplied by the Gamma ratio of ``pre_nums``
+    over ``pre_dens``, by 1/(n-3)!, by (-1)**sign_exp and by ``_abcdef``.
+    """
+    total = GammaExact(Fraction(0))
+    terms = 0
+    for s, nums, dens in points:
+        g = _term_gamma_product(nums, dens)
+        if g is None or g.is_zero():
+            continue
+        terms += 1
+        coeff = -g.coeff if s % 2 else g.coeff
+        if not total.is_zero() and total.sqrtpi_exp != g.sqrtpi_exp:
+            raise ResidualSqrtPiError("inconsistent sqrt(pi) exponent across series terms")
+        total = GammaExact(total.coeff + coeff, g.sqrtpi_exp)
+    if total.is_zero():
+        return Fraction(0), terms
+    value = (gamma_ratio_product(pre_nums, pre_dens) * total) / factorial(labels.n - 3)
+    if sign_exp % 2:
+        value = -value
+    return value.to_rational() * _abcdef(labels), terms
 
 
 def _c_factorial_ab(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
@@ -221,58 +241,50 @@ def _c_factorial_ab(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
         z2_lo, z2_hi = max(0, (b + c - e - f) // 2), (b + d - f) // 2
     else:
         z2_lo, z2_hi = 0, min((b - d + f) // 2, (c + f - a) // 2)
-    total = GammaExact(Fraction(0))
-    terms = 0
-    for z1 in range(z1_lo, z1_hi + 1):
-        for z2 in range(z2_lo, z2_hi + 1):
-            if variant == "a":
-                nums = [Fraction(b + d - f, 2) + half - 1 + z1,
-                        Fraction((a + c - f) // 2 + 1 + z1),
-                        f + half - 1 - z1,
-                        Fraction(b + c + e - f, 2) + half - 1 - z2,
-                        Fraction(d + f - b, 2) + half - 1 + z2,
-                        Fraction(a - c + f, 2) + half - 1 + z2,
-                        Fraction(z1 + z2 + 1)]
-                dens = [Fraction(z1 + 1),
-                        Fraction((a - c + f) // 2 - z1 + 1),
-                        Fraction((d + f - b) // 2 - z1 + 1),
-                        Fraction((b + c - e - f) // 2 + z1 + 1),
-                        Fraction(b + c + e - f, 2) + half + z1,
-                        Fraction(z2 + 1),
-                        Fraction((b + d - f) // 2 - z2 + 1),
-                        Fraction(a + c - f, 2) + half - 1 - z2,
-                        Fraction((e + f - b - c) // 2 + z2 + 1),
-                        f + half + z2,
-                        half - 1 + z1 + z2]
-            else:
-                nums = [Fraction(b + d - f, 2) + half - 1 + z1,
-                        Fraction((a + c - f) // 2 + 1 + z1),
-                        f + half - 1 - z1,
-                        Fraction(f - z1 - z2 + 1),
-                        Fraction(b + c - e + f, 2) + half - 1 - z2,
-                        f + half - 1 - z2,
-                        Fraction((b + c + e + f) // 2 + n - 2 - z2)]
-                dens = [Fraction(z1 + 1), Fraction(z2 + 1),
-                        Fraction((a - c + f) // 2 - z1 + 1),
-                        Fraction((b + c - e - f) // 2 + z1 + 1),
-                        Fraction((d + f - b) // 2 - z1 + 1),
-                        Fraction(b + c + e - f, 2) + half + z1,
-                        f + half - 1 - z1 - z2,
-                        Fraction((b - d + f) // 2 - z2 + 1),
-                        Fraction((c + f - a) // 2 - z2 + 1),
-                        Fraction(b + d + f, 2) + half - z2,
-                        Fraction((a + c + f) // 2 + n - 2 - z2)]
-            g = _term_gamma_product(nums, dens)
-            if g is None or g.is_zero():
-                continue
-            terms += 1
-            total = _acc(total, g, -1 if (z1 + z2) % 2 else 1)
-    if total.is_zero():
-        return Fraction(0), terms
-    value = (gamma_ratio_product(pre_nums, pre_dens) * total) / factorial(n - 3)
-    if sgn_exp % 2:
-        value = -value
-    return value.to_rational() * _abcdef(labels), terms
+
+    def points():
+        for z1 in range(z1_lo, z1_hi + 1):
+            for z2 in range(z2_lo, z2_hi + 1):
+                if variant == "a":
+                    nums = [Fraction(b + d - f, 2) + half - 1 + z1,
+                            Fraction((a + c - f) // 2 + 1 + z1),
+                            f + half - 1 - z1,
+                            Fraction(b + c + e - f, 2) + half - 1 - z2,
+                            Fraction(d + f - b, 2) + half - 1 + z2,
+                            Fraction(a - c + f, 2) + half - 1 + z2,
+                            Fraction(z1 + z2 + 1)]
+                    dens = [Fraction(z1 + 1),
+                            Fraction((a - c + f) // 2 - z1 + 1),
+                            Fraction((d + f - b) // 2 - z1 + 1),
+                            Fraction((b + c - e - f) // 2 + z1 + 1),
+                            Fraction(b + c + e - f, 2) + half + z1,
+                            Fraction(z2 + 1),
+                            Fraction((b + d - f) // 2 - z2 + 1),
+                            Fraction(a + c - f, 2) + half - 1 - z2,
+                            Fraction((e + f - b - c) // 2 + z2 + 1),
+                            f + half + z2,
+                            half - 1 + z1 + z2]
+                else:
+                    nums = [Fraction(b + d - f, 2) + half - 1 + z1,
+                            Fraction((a + c - f) // 2 + 1 + z1),
+                            f + half - 1 - z1,
+                            Fraction(f - z1 - z2 + 1),
+                            Fraction(b + c - e + f, 2) + half - 1 - z2,
+                            f + half - 1 - z2,
+                            Fraction((b + c + e + f) // 2 + n - 2 - z2)]
+                    dens = [Fraction(z1 + 1), Fraction(z2 + 1),
+                            Fraction((a - c + f) // 2 - z1 + 1),
+                            Fraction((b + c - e - f) // 2 + z1 + 1),
+                            Fraction((d + f - b) // 2 - z1 + 1),
+                            Fraction(b + c + e - f, 2) + half + z1,
+                            f + half - 1 - z1 - z2,
+                            Fraction((b - d + f) // 2 - z2 + 1),
+                            Fraction((c + f - a) // 2 - z2 + 1),
+                            Fraction(b + d + f, 2) + half - z2,
+                            Fraction((a + c + f) // 2 + n - 2 - z2)]
+                yield z1 + z2, nums, dens
+
+    return _gamma_sum(labels, pre_nums, pre_dens, sgn_exp, points())
 
 
 def _c_factorial_c(labels: SixJLabels) -> tuple[Fraction, int]:
@@ -286,44 +298,31 @@ def _c_factorial_c(labels: SixJLabels) -> tuple[Fraction, int]:
     pre_dens = [Fraction((c + f - a) // 2 + 1), Fraction((a - c + f) // 2 + 1),
                 half, half, half,
                 Fraction((b + e - a) // 2 + 1), Fraction((a - b + e) // 2 + 1)]
-    sgn_exp = (a + d - e - f) // 2
-    total = GammaExact(Fraction(0))
-    terms = 0
-    for z1 in range(min((a + b - e) // 2, (a + c - f) // 2) + 1):
-        for z2 in range(min((b - d + f) // 2, (c - d + e) // 2) + 1):
-            nums = [Fraction(a + b + c - d, 2) + half - 1 - z1,
-                    Fraction(a - z1 + 1),
-                    Fraction((a + b + c + d) // 2 + n - 2 - z1),
-                    Fraction(d + f - b, 2) + half - 1 + z2,
-                    Fraction(d + e - c, 2) + half - 1 + z2,
-                    Fraction(a + b + c - d, 2) + half - 1 - z2,
-                    Fraction((a + b + c - d) // 2 - z1 - z2 + 1)]
-            dens = [Fraction(z1 + 1), Fraction(z2 + 1),
-                    Fraction((a + b - e) // 2 - z1 + 1),
-                    Fraction(a + b + e, 2) + half - z1,
-                    Fraction((a + c - f) // 2 - z1 + 1),
-                    Fraction(a + c + f, 2) + half - z1,
-                    Fraction((b - d + f) // 2 - z2 + 1),
-                    Fraction((c - d + e) // 2 - z2 + 1),
-                    Fraction(a - b - c + d, 2) + half - 1 + z2,
-                    d + half + z2,
-                    Fraction(a + b + c - d, 2) + half - 1 - z1 - z2]
-            g = _term_gamma_product(nums, dens)
-            if g is None or g.is_zero():
-                continue
-            terms += 1
-            total = _acc(total, g, -1 if (z1 + z2) % 2 else 1)
-    if total.is_zero():
-        return Fraction(0), terms
-    value = (gamma_ratio_product(pre_nums, pre_dens) * total) / factorial(n - 3)
-    if sgn_exp % 2:
-        value = -value
-    return value.to_rational() * _abcdef(labels), terms
 
+    def points():
+        for z1 in range(min((a + b - e) // 2, (a + c - f) // 2) + 1):
+            for z2 in range(min((b - d + f) // 2, (c - d + e) // 2) + 1):
+                nums = [Fraction(a + b + c - d, 2) + half - 1 - z1,
+                        Fraction(a - z1 + 1),
+                        Fraction((a + b + c + d) // 2 + n - 2 - z1),
+                        Fraction(d + f - b, 2) + half - 1 + z2,
+                        Fraction(d + e - c, 2) + half - 1 + z2,
+                        Fraction(a + b + c - d, 2) + half - 1 - z2,
+                        Fraction((a + b + c - d) // 2 - z1 - z2 + 1)]
+                dens = [Fraction(z1 + 1), Fraction(z2 + 1),
+                        Fraction((a + b - e) // 2 - z1 + 1),
+                        Fraction(a + b + e, 2) + half - z1,
+                        Fraction((a + c - f) // 2 - z1 + 1),
+                        Fraction(a + c + f, 2) + half - z1,
+                        Fraction((b - d + f) // 2 - z2 + 1),
+                        Fraction((c - d + e) // 2 - z2 + 1),
+                        Fraction(a - b - c + d, 2) + half - 1 + z2,
+                        d + half + z2,
+                        Fraction(a + b + c - d, 2) + half - 1 - z1 - z2]
+                yield z1 + z2, nums, dens
 
-# ---------------------------------------------------------------------------
-# triple sum
-# ---------------------------------------------------------------------------
+    return _gamma_sum(labels, pre_nums, pre_dens, (a + d - e - f) // 2, points())
+
 
 def _c_triple(labels: SixJLabels) -> tuple[Fraction, int]:
     a, b, e, d, c, f = labels.six
@@ -342,114 +341,96 @@ def _c_triple(labels: SixJLabels) -> tuple[Fraction, int]:
                 Fraction((a + c - f) // 2 + 1), half, half, half,
                 Fraction((b + e - a) // 2 + 1), Fraction((a - b + e) // 2 + 1),
                 Fraction((b - d + f) // 2 + 1)]
-    total = GammaExact(Fraction(0))
-    terms = 0
-    for z3 in range(r11 + 1):
-        for z1 in range(max(0, r11 - r14), min(r21, r11 - z3) + 1):
-            for z2 in range(min(r13, r11 - z3) + 1):
-                nums = [Fraction(a - z1 + 1),
-                        Fraction(c + f - a, 2) + half - 1 + z1,
-                        Fraction(b - z2 + 1),
-                        Fraction((a + b - e) // 2 - z3 + 1),
-                        a + b + Fraction(d - c - e, 2) + half - 1 - z1 - z2 - z3,
-                        Fraction((a + b + c + d) // 2 + n - 2 - z2),
-                        Fraction(c - d + e, 2) + half - 1 + z3]
-                dens = [Fraction(z1 + 1), Fraction(z2 + 1), Fraction(z3 + 1),
-                        Fraction((c + d - a - b) // 2 + z1 + 1),
-                        Fraction((a - c + f) // 2 - z1 + 1),
-                        Fraction((b + d - f) // 2 - z2 + 1),
-                        Fraction(a + b + n - 2 - z1 - z2),
-                        Fraction((a + b - e) // 2 - z1 - z3 + 1),
-                        Fraction((a + b - e) // 2 - z2 - z3 + 1),
-                        e + half + z3,
-                        Fraction(b + d + f, 2) + half - z2,
-                        Fraction(a + b - e, 2) + half - 1 - z3]
-                g = _term_gamma_product(nums, dens)
-                if g is None or g.is_zero():
-                    continue
-                terms += 1
-                total = _acc(total, g, -1 if (r11 + z1 + z2 + z3) % 2 else 1)
-    if total.is_zero():
-        return Fraction(0), terms
-    value = (gamma_ratio_product(pre_nums, pre_dens) * total) / factorial(n - 3)
-    return value.to_rational() * _abcdef(labels), terms
+
+    def points():
+        for z3 in range(r11 + 1):
+            for z1 in range(max(0, r11 - r14), min(r21, r11 - z3) + 1):
+                for z2 in range(min(r13, r11 - z3) + 1):
+                    nums = [Fraction(a - z1 + 1),
+                            Fraction(c + f - a, 2) + half - 1 + z1,
+                            Fraction(b - z2 + 1),
+                            Fraction((a + b - e) // 2 - z3 + 1),
+                            a + b + Fraction(d - c - e, 2) + half - 1 - z1 - z2 - z3,
+                            Fraction((a + b + c + d) // 2 + n - 2 - z2),
+                            Fraction(c - d + e, 2) + half - 1 + z3]
+                    dens = [Fraction(z1 + 1), Fraction(z2 + 1), Fraction(z3 + 1),
+                            Fraction((c + d - a - b) // 2 + z1 + 1),
+                            Fraction((a - c + f) // 2 - z1 + 1),
+                            Fraction((b + d - f) // 2 - z2 + 1),
+                            Fraction(a + b + n - 2 - z1 - z2),
+                            Fraction((a + b - e) // 2 - z1 - z3 + 1),
+                            Fraction((a + b - e) // 2 - z2 - z3 + 1),
+                            e + half + z3,
+                            Fraction(b + d + f, 2) + half - z2,
+                            Fraction(a + b - e, 2) + half - 1 - z3]
+                    yield r11 + z1 + z2 + z3, nums, dens
+
+    return _gamma_sum(labels, pre_nums, pre_dens, 0, points())
 
 
 # ---------------------------------------------------------------------------
 # stretched and near-stretched closed forms
 # ---------------------------------------------------------------------------
 
-def _c_stretched(labels: SixJLabels) -> Fraction:
-    arr = shelepin(labels)
-    r = arr.r
-    if r(1, 1) != 0:
-        raise ValueError("stretched closed form needs e = a + b")
-    a, b, e = labels.a, labels.b, labels.e
-    n = labels.n
-    tau = Fraction(n, 2) - 1
-    half = Fraction(n, 2)
-    a1, a2, a3, _ = arr.alpha
-    nums = [a + tau, b + tau, r(3, 2) + tau, r(2, 3) + tau,
-            Fraction(a1 + n - 2), r(3, 4) + tau, r(2, 4) + tau]
-    dens = [Fraction(n - 2), half, half, half, e + half,
-            Fraction(r(1, 4) + 1), Fraction(r(1, 2) + 1), Fraction(r(2, 1) + 1),
-            a3 + half, Fraction(r(1, 3) + 1), Fraction(r(3, 1) + 1), a2 + half]
-    return gamma_ratio_product(nums, dens).to_rational() * _abcdef(labels)
+_STRETCHED_NEEDS = ("stretched closed form needs e = a + b",
+                    "near-stretched closed form needs e = a + b - 2")
 
 
-def _c_near_stretched(labels: SixJLabels) -> Fraction:
+def _c_stretched(labels: SixJLabels, shift: int) -> tuple[Fraction, int]:
+    """Closed form at e = a + b - 2 * shift: stretched (shift 0) or near-stretched (1)."""
     arr = shelepin(labels)
     r = arr.r
-    if r(1, 1) != 1:
-        raise ValueError("near-stretched closed form needs e = a + b - 2")
+    if r(1, 1) != shift:
+        raise ValueError(_STRETCHED_NEEDS[shift])
     a, b, e, d, c, f = labels.six
     n = labels.n
     tau = Fraction(n, 2) - 1
     half = Fraction(n, 2)
     a1, a2, a3, _ = arr.alpha
-    nums = [a + tau - 1, b + tau - 1, r(3, 2) + tau, r(2, 3) + tau,
+    nums = [a + tau - shift, b + tau - shift, r(3, 2) + tau, r(2, 3) + tau,
             Fraction(a1 + n - 2), r(3, 4) + tau, r(2, 4) + tau]
-    dens = [Fraction(n - 2), half, half, half, e + half + 1,
+    dens = [Fraction(n - 2), half, half, half, e + half + shift,
             Fraction(r(1, 4) + 1), Fraction(r(1, 2) + 1), Fraction(r(2, 1) + 1),
             a3 + half, Fraction(r(1, 3) + 1), Fraction(r(3, 1) + 1), a2 + half]
-    bracket = (
-        2 * a * (c + d - e) * (e - c + d + n - 2)
-        * ((c + d - e + n - 4) * (b + d - f) * (a + c - f + n - 4)
-           - (c + d + e + 2 * n - 4) * (a - c + f) * (b - d + f))
-        + (2 * e + n) * (a - c + f) * (c + f - a + n - 2)
-        * ((c + d + e + 2 * n - 4) * (b - d + f) * (a - c + f + n - 4)
-           - (b + d - f) * (c + d - e) * (a + c - f + n - 4))
-    )
-    base = gamma_ratio_product(nums, dens).to_rational()
-    return base * bracket * _abcdef(labels) / 64
+    value = gamma_ratio_product(nums, dens).to_rational() * _abcdef(labels)
+    if shift:
+        value *= Fraction(
+            2 * a * (c + d - e) * (e - c + d + n - 2)
+            * ((c + d - e + n - 4) * (b + d - f) * (a + c - f + n - 4)
+               - (c + d + e + 2 * n - 4) * (a - c + f) * (b - d + f))
+            + (2 * e + n) * (a - c + f) * (c + f - a + n - 2)
+            * ((c + d + e + 2 * n - 4) * (b - d + f) * (a - c + f + n - 4)
+               - (b + d - f) * (c + d - e) * (a + c - f + n - 4)),
+            64)
+    return value, 1 + shift
 
 
 # ---------------------------------------------------------------------------
 # public core-coefficient entry point
 # ---------------------------------------------------------------------------
 
+_EVALUATORS = {
+    "StretchedE": partial(_c_stretched, shift=0),
+    "NearStretchedE": partial(_c_stretched, shift=1),
+    "A": partial(_c_pochhammer, variant="A"),
+    "B": partial(_c_pochhammer, variant="B"),
+    "C": partial(_c_pochhammer, variant="C"),
+    "T3": _c_triple,
+    "AFactorial": partial(_c_factorial_ab, variant="a"),
+    "BFactorial": partial(_c_factorial_ab, variant="b"),
+    "CFactorial": _c_factorial_c,
+}
+
+
 def c_alpha(labels: SixJLabels, method: str = "A", allow_n3: bool = False) -> CAlpha:
     """The rational core coefficient by the requested method, at the literal labels."""
     require_int_labels(labels)
     _check_n(labels.n, allow_n3)
-    if method not in METHODS and method not in FACTORIAL_METHODS:
+    if method not in _EVALUATORS:
         raise ValueError(f"unknown method {method}")
     if not admissible(labels):
         return CAlpha(Fraction(0), labels, method, 0)
-    if method in ("A", "B", "C"):
-        value, terms = _c_pochhammer(labels, method)
-    elif method == "AFactorial":
-        value, terms = _c_factorial_ab(labels, "a")
-    elif method == "BFactorial":
-        value, terms = _c_factorial_ab(labels, "b")
-    elif method == "CFactorial":
-        value, terms = _c_factorial_c(labels)
-    elif method == "T3":
-        value, terms = _c_triple(labels)
-    elif method == "StretchedE":
-        value, terms = _c_stretched(labels), 1
-    else:
-        value, terms = _c_near_stretched(labels), 2
+    value, terms = _EVALUATORS[method](labels)
     return CAlpha(value, labels, method, terms)
 
 

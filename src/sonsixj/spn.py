@@ -24,7 +24,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .exact import FactoredProduct, SurdValue
-from .labels import RArray, SixJLabels, TRIADS, require_int_labels, shelepin, triangle_ok
+from .labels import RArray, SixJLabels, admissible, require_int_labels, shelepin
 from .series import series_table, termwise
 
 __all__ = [
@@ -90,12 +90,7 @@ def _rarray(labels: SpLabels) -> RArray:
 
 def sp_admissible(labels: SpLabels) -> bool:
     """True when all four triads couple and every triad half-sum fits in n."""
-    six = labels.six
-    if any(x < 0 for x in six):
-        return False
-    if not all(triangle_ok(*(six[i] for i in t)) for t in TRIADS):
-        return False
-    return all(labels.n - ak >= 0 for ak in _rarray(labels).alpha)
+    return admissible(labels) and all(labels.n - ak >= 0 for ak in _rarray(labels).alpha)
 
 
 def sp_sum_terms(arr: RArray, n: int, method: str) -> Iterator[tuple[tuple[int, int], int]]:

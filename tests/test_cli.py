@@ -203,6 +203,25 @@ def test_exit_code_bad_cache_env(capsys, monkeypatch):
     assert sixj_mod.cache_info().maxsize == 64
 
 
+def test_exit_code_closed_form_off_its_label_set(capsys):
+    code = main(["sixj", "--n", "6", "--method", "StretchedE", "--", "2", "2", "2", "2", "2", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: stretched closed form needs e = a + b\n")
+
+
+def test_env_cache_size_keeps_the_cache_across_calls(capsys, monkeypatch):
+    sixj_mod = importlib.import_module("sonsixj.sixj")
+    monkeypatch.setattr(sixj_mod, "_cached_evaluate", sixj_mod._cached_evaluate)
+    monkeypatch.setenv("SONSIXJ_CACHE_SIZE", "100")
+    argv = ["sixj", "--n", "6", "--", "2", "2", "2", "2", "2", "2"]
+    assert run_cli(capsys, argv) == (0, "9/400\n")
+    info = sixj_mod.cache_info()
+    assert (info.maxsize, info.hits, info.misses) == (100, 0, 1)
+    assert run_cli(capsys, argv) == (0, "9/400\n")
+    info = sixj_mod.cache_info()
+    assert (info.maxsize, info.hits, info.misses) == (100, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -260,6 +279,24 @@ def test_sweep_method_auto_per_kind(capsys):
         _, forced = run_cli(capsys, ["sweep", "--kind", kind, "--n", "4", "--max-label", "2",
                                      "--method", default])
         assert auto == forced and auto
+
+
+@pytest.mark.parametrize("kind, n, six, methods", [
+    ("sixj", "5", (2, 2, 2, 2, 2, 2), [("auto", "auto")]),
+    ("calpha", "5", (2, 2, 2, 2, 2, 2), [(None, "auto"), ("B", "B")]),
+    ("sp_u", "2", (1, 1, 2, 1, 1, 2), [(None, "auto"), ("c", "c")]),
+])
+def test_single_json_query_equals_its_sweep_row(capsys, kind, n, six, methods):
+    """One query and the sweep build a row by the same path; None is the query's default."""
+    labels = [str(x) for x in six]
+    for single, swept in methods:
+        flags = [] if single is None else ["--method", single]
+        code, out = run_cli(capsys, [kind, "--n", n, "--format", "json", *flags, "--", *labels])
+        assert code == 0
+        _, rows = run_cli(capsys, ["sweep", "--kind", kind, "--n", n, "--max-label", "2",
+                                   "--method", swept])
+        row = next(line for line in rows.splitlines() if json.loads(line)["labels"] == list(six))
+        assert out == row + "\n"
 
 
 class RecordingPool:

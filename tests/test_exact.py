@@ -13,7 +13,6 @@ from sonsixj.exact import (
     ResidualSqrtPiError,
     SurdValue,
     factor_int,
-    factorial,
     gamma_exact,
     gamma_ratio_product,
     pochhammer,
@@ -110,15 +109,6 @@ def test_pochhammer_values():
     assert pochhammer(-3, 5) == 0
     with pytest.raises(ValueError):
         pochhammer(1, -1)
-
-
-def test_factorial_and_binomial():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-    assert factorial(10) // (factorial(3) * factorial(7)) == 120
-    assert factorial(4) // (factorial(0) * factorial(4)) == 1
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,27 @@ def test_stretched_methods_match_generic():
     assert c_alpha(lab2, "NearStretchedE").value == c_alpha(lab2, "A").value
 
 
+def test_closed_forms_reject_other_label_sets():
+    # r11 = 1 is not stretched, r11 = 0 is not near-stretched, r11 = 2 is neither
+    for six, method, message in [
+        ((2, 2, 2, 2, 2, 2), "StretchedE", "stretched closed form needs e = a + b"),
+        ((2, 2, 4, 2, 2, 4), "NearStretchedE", "near-stretched closed form needs e = a + b - 2"),
+        ((2, 2, 0, 2, 2, 0), "StretchedE", "stretched closed form needs e = a + b"),
+        ((2, 2, 0, 2, 2, 0), "NearStretchedE", "near-stretched closed form needs e = a + b - 2"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            c_alpha(SixJLabels(*six, 6), method)
+        assert str(info.value) == message
+
+
+def test_unknown_method_rejected():
+    lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
+    for method in ("Z", "auto", "a"):
+        with pytest.raises(ValueError) as info:
+            c_alpha(lab, method)
+        assert str(info.value) == f"unknown method {method}"
+
+
 def test_select_method_choices():
     choice = select_method(SixJLabels(2, 2, 4, 2, 2, 4, 6))
     assert choice.method == "StretchedE"
