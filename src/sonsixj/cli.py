@@ -66,7 +66,10 @@ def parse_exact(text: str) -> SurdValue:
         raise MalformedQuery(f"zero denominator in {text!r}")
     coeff = Fraction(int(m.group("num")), int(m.group("den") or 1))
     radicand = Fraction(int(m.group("rnum") or 1), int(m.group("rden") or 1))
-    return surd_normalize(coeff, radicand)
+    try:
+        return surd_normalize(coeff, radicand)
+    except ValueError as exc:  # a radicand too large to factor
+        raise MalformedQuery(f"{exc} in {text!r}") from exc
 
 
 def render_decimal(value: SurdValue | Fraction | int, digits: int = DEFAULT_DIGITS) -> str:

@@ -6,16 +6,27 @@ Every quantity in this package is exact.  The value domain is built from three l
 * ``GammaExact`` for rationals times an integer power of sqrt(pi),
 * ``SurdValue`` for rationals times the square root of a squarefree integer.
 
-Gamma evaluation is exact at integer and half-integer arguments.  Ratios of gammas at
-nonpositive integers are resolved by a common epsilon shift of every argument; see
-``gamma_ratio_product``.
+Two layers form products of Gamma values, and each serves one side:
+
+* ``FactoredProduct`` is the production ledger.  The prefactors of the core
+  coefficient, the scalar 3j symbol, the assembly of the 6j symbol and the Sp(2n)
+  coefficient (with its dimensions and normalization) each fill one,
+  as prime exponents with Gamma arguments passed as doubled positive integers, and
+  expand it once, as a Fraction or as an exact square root.
+* ``GammaExact``, ``gamma_exact`` and ``gamma_ratio_product`` serve only the check
+  paths (``T3``, the factorial forms, the KdF series and the SU(2) oracles), so those
+  share no arithmetic with production.  Gamma evaluation there is exact at integer and
+  half-integer arguments, and ratios of gammas at nonpositive integers are resolved by
+  a common epsilon shift of every argument; see ``gamma_ratio_product``.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 
 class PoleError(ArithmeticError):
@@ -165,49 +176,15 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
 # squarefree surds
 # ---------------------------------------------------------------------------
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
+_TRIAL_BOUND = 100000
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1; trial division first, Pollard rho for survivors."""
+    """Prime factorization of n >= 1 by trial division up to 10**5.
+
+    A cofactor left below 10**10 is prime; a larger one may not be, and raises
+    ValueError rather than search for its factors.
+    """
     if n < 1:
         raise ValueError("factor_int needs n >= 1")
     out: dict[int, int] = {}
@@ -218,23 +195,18 @@ def factor_int(n: int) -> dict[int, int]:
     f = 7
     inc = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n and f < 100000:
+    while f * f <= n and f < _TRIAL_BOUND:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
         f += inc[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+    if f * f <= n:
+        raise ValueError(
+            f"a {n.bit_length()}-bit cofactor has no factor below {_TRIAL_BOUND}; too large to factor"
+        )
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 
@@ -361,31 +333,34 @@ def surd_normalize(coeff: Fraction | int, radicand: Fraction | int) -> SurdValue
 # factored products: exact products of gammas kept in prime-exponent form
 # ---------------------------------------------------------------------------
 
-_PRIMES: list[int] = [2, 3, 5, 7, 11, 13]
+_SIEVE: tuple[int, tuple[int, ...]] = (1, ())  # (bound, every prime up to it)
 
 
-def _extend_primes(limit: int) -> None:
-    primes = _PRIMES
-    while primes[-1] < limit:
-        top = primes[-1] + 2
-        while True:
-            if all(top % p for p in primes if p * p <= top):
-                primes.append(top)
-                break
-            top += 2
+def primes_up_to(limit: int) -> tuple[int, ...]:
+    """The primes <= limit, from a sieve that is rebuilt at least twice as large when short.
 
-
-def primes_up_to(limit: int) -> list[int]:
-    if limit >= 2:
-        _extend_primes(limit)
-    return [p for p in _PRIMES if p <= limit]
+    The sieve is replaced in one assignment, so a concurrent caller sees the old or
+    the new one, never a partial list.
+    """
+    global _SIEVE
+    bound, primes = _SIEVE
+    if limit > bound:
+        bound = max(limit, 2 * bound, 1024)
+        flags = bytearray([1]) * (bound + 1)
+        flags[0] = flags[1] = 0
+        for p in range(2, math.isqrt(bound) + 1):
+            if flags[p]:
+                flags[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+        primes = tuple(compress(range(bound + 1), flags))
+        _SIEVE = (bound, primes)
+    return primes[:bisect_right(primes, limit)]
 
 
 @lru_cache(maxsize=4096)
 def _factorial_exponents(m: int) -> tuple[tuple[int, int], ...]:
     """Prime exponent vector of m! via Legendre's formula."""
     out = []
-    for p in primes_up_to(m) if m >= 2 else []:
+    for p in primes_up_to(m):
         e, q = 0, m
         while q:
             q //= p
@@ -395,27 +370,20 @@ def _factorial_exponents(m: int) -> tuple[tuple[int, int], ...]:
 
 
 class FactoredProduct:
-    """A positive-or-signed exact product held as prime exponents times sqrt(pi)**pi_half.
+    """The production ledger: a positive exact product as prime exponents times sqrt(pi)**pi_half.
 
-    Supports multiplying in factorials, integers, rationals and half-integer gamma
-    values with positive or negative exponents, an exact square root, and conversion
-    to Fraction / SurdValue.  Exponent bookkeeping avoids ever factoring a large value.
+    Integers, factorials and Gamma at half-integer points multiply in with any integer
+    exponent, and only exponents change; nothing is expanded until ``to_fraction`` or
+    ``sqrt_surd``.  A Gamma argument is passed doubled, as the positive integer two_x
+    of Gamma(two_x / 2).  A factor that is not positive raises: ``ValueError`` for an
+    integer, ``PoleError`` for a Gamma argument.
     """
 
-    __slots__ = ("exps", "pi_half", "sign", "_zero")
+    __slots__ = ("exps", "pi_half")
 
     def __init__(self) -> None:
         self.exps: dict[int, int] = {}
         self.pi_half = 0
-        self.sign = 1
-        self._zero = False
-
-    def is_zero(self) -> bool:
-        return self._zero
-
-    def set_zero(self) -> "FactoredProduct":
-        self._zero = True
-        return self
 
     def _bump(self, p: int, e: int) -> None:
         newe = self.exps.get(p, 0) + e
@@ -425,84 +393,35 @@ class FactoredProduct:
             self.exps.pop(p, None)
 
     def mul_int(self, v: int, e: int = 1) -> "FactoredProduct":
-        """Multiply by v**e for a nonzero integer v (factored by trial division)."""
-        if self._zero:
-            return self
-        if v == 0:
-            if e <= 0:
-                raise ZeroDivisionError("zero with nonpositive exponent")
-            return self.set_zero()
-        if v < 0:
-            if e % 2:
-                self.sign = -self.sign
-            v = -v
+        """Multiply by v**e for an integer v >= 1 (factored by trial division)."""
+        if v < 1:
+            raise ValueError(f"the ledger takes positive integers, got {v}")
         for p, k in factor_int(v).items():
             self._bump(p, k * e)
         return self
 
-    def mul_fraction(self, q: Fraction, e: int = 1) -> "FactoredProduct":
-        if self._zero:
-            return self
-        self.mul_int(q.numerator, e)
-        if not self._zero:
-            self.mul_int(q.denominator, -e)
-        return self
-
     def mul_factorial(self, m: int, e: int = 1) -> "FactoredProduct":
-        if self._zero:
-            return self
         if m < 0:
             raise ValueError(f"factorial of negative {m}")
         for p, k in _factorial_exponents(m):
             self._bump(p, k * e)
         return self
 
-    def mul_gamma(self, x: Fraction | int, e: int = 1) -> "FactoredProduct":
-        """Multiply by Gamma(x)**e at half-integer x."""
-        if self._zero:
-            return self
-        x = Fraction(x)
-        if x.denominator == 1:
-            n = int(x)
-            if n <= 0:
-                raise PoleError(f"gamma pole at {n}")
-            return self.mul_factorial(n - 1, e)
-        if x.denominator != 2:
-            raise ValueError(f"gamma argument must be half-integer, got {x}")
-        m = int(x - Fraction(1, 2))
-        if m >= 0:
-            # Gamma(m + 1/2) = (2m)! / (4**m m!) sqrt(pi)
-            self.mul_factorial(2 * m, e)
-            self.mul_factorial(m, -e)
-            self._bump(2, -2 * m * e)
-        else:
-            k = -m
-            # Gamma(1/2 - k) = (-4)**k k! / (2k)! sqrt(pi)
-            if (k * e) % 2:
-                self.sign = -self.sign
-            self._bump(2, 2 * k * e)
-            self.mul_factorial(k, e)
-            self.mul_factorial(2 * k, -e)
+    def mul_gamma(self, two_x: int, e: int = 1) -> "FactoredProduct":
+        """Multiply by Gamma(two_x / 2)**e for an integer two_x >= 1."""
+        if two_x < 1:
+            raise PoleError(f"gamma at {two_x}/2 is not a positive half-integer point")
+        if two_x % 2 == 0:
+            return self.mul_factorial(two_x // 2 - 1, e)
+        # Gamma(m + 1/2) = (2m)! / (4**m m!) sqrt(pi)
+        m = two_x // 2
+        self.mul_factorial(2 * m, e)
+        self.mul_factorial(m, -e)
+        self._bump(2, -2 * m * e)
         self.pi_half += e
         return self
 
-    def mul(self, other: "FactoredProduct", e: int = 1) -> "FactoredProduct":
-        if self._zero:
-            return self
-        if other._zero:
-            if e <= 0:
-                raise ZeroDivisionError("zero factored product with nonpositive exponent")
-            return self.set_zero()
-        for p, k in other.exps.items():
-            self._bump(p, k * e)
-        self.pi_half += other.pi_half * e
-        if e % 2 and other.sign < 0:
-            self.sign = -self.sign
-        return self
-
     def to_fraction(self) -> Fraction:
-        if self._zero:
-            return Fraction(0)
         if self.pi_half != 0:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half}")
         num = den = 1
@@ -511,16 +430,12 @@ class FactoredProduct:
                 num *= p**e
             else:
                 den *= p**-e
-        return Fraction(self.sign * num, den)
+        return Fraction(num, den)
 
     def sqrt_surd(self) -> SurdValue:
-        """Exact square root as a SurdValue; requires a nonnegative pi-free value."""
-        if self._zero:
-            return SurdValue.zero()
+        """Exact square root as a SurdValue; requires a pi-free value."""
         if self.pi_half != 0:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half} under sqrt")
-        if self.sign < 0:
-            raise ValueError("square root of a negative factored product")
         cnum = cden = 1
         rad = 1
         for p, e in sorted(self.exps.items()):

@@ -23,7 +23,7 @@ from .exact import (
     is_half_integer,
 )
 from .labels import SixJLabels, admissible, require_int_labels
-from .sixj import dim, nabla_tilde_0356, threej_zero
+from .sixj import nabla_tilde_0356, threej_zero
 
 HalfInt = Fraction
 
@@ -72,9 +72,11 @@ def _prefactor(labels: SixJLabels) -> SurdValue:
     n = labels.n
     fp = FactoredProduct()
     for x in (labels.c, labels.d, labels.e):
-        fp.mul_int(2 * x + n - 2)
-        fp.mul_int(dim(n, x), -1)
-    fp.mul_fraction(Fraction(1, 8))
+        # (2x + n - 2) / dim(n, x) = x! (n - 2)! / (x + n - 3)!
+        fp.mul_factorial(x)
+        fp.mul_factorial(n - 2)
+        fp.mul_factorial(x + n - 3, -1)
+    fp.mul_int(2, -3)
     return fp.sqrt_surd()
 
 

@@ -15,6 +15,13 @@ function per method name:
 * one closed form for stretched (e = a + b) and near-stretched (e = a + b - 2)
   label sets (methods ``StretchedE``, ``NearStretchedE``).
 
+Each method multiplies its value by ``_abcdef(labels)``, a positive rational that
+``assemble_sixj`` divides back out.  The production path (the prefactors of ``A``,
+``B``, ``C`` and of the closed form, ``threej_zero`` and ``assemble_sixj``) forms its
+Gamma and factorial products in one ``exact.FactoredProduct`` ledger per call, with
+every Gamma argument passed doubled, as an integer.  The Gamma-product sums use
+``GammaExact`` arithmetic instead, so the check path shares none of it.
+
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
 the cheapest evaluation; ``sixj`` ties everything together with a ``functools.lru_cache``
 keyed by ``labels.orbit_key`` (sorted alpha, sorted beta, n), one entry per symmetry
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import permutations
-from math import factorial
+from math import factorial, perm
 from typing import NamedTuple
 
 from .exact import (
@@ -72,11 +79,16 @@ def _check_n(n: int, allow_n3: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def dim(n: int, l: int) -> int:
-    """Dimension of the symmetric representation with label l >= 0."""
+    """Dimension of the symmetric representation with label l >= 0 of SO(n), n >= 2."""
     require_ints((("n", n), ("l", l)))
+    if n < 2:
+        raise ValueError(f"dim needs n >= 2, got n = {n}")
     if l < 0:
         raise ValueError(f"negative label {l}")
-    return (2 * l + n - 2) * factorial(l + n - 3) // (factorial(l) * factorial(n - 2))
+    if l == 0:
+        return 1
+    # (l + n - 3)! / (n - 2)! without expanding either factorial
+    return (2 * l + n - 2) * perm(l + n - 3, l - 1) // factorial(l)
 
 
 @lru_cache(maxsize=None)
@@ -90,18 +102,20 @@ def threej_zero(n: int, l1: int, l2: int, l3: int, allow_n3: bool = False) -> Su
     _check_n(n, allow_n3)
     if min(l1, l2, l3) < 0 or not triangle_ok(l1, l2, l3):
         return SurdValue.zero()
-    half = Fraction(n, 2)
     j = (l1 + l2 + l3) // 2
     fp = FactoredProduct()
     fp.mul_factorial(j + n - 3)
     fp.mul_factorial(n - 3, -1)
-    fp.mul_gamma(j + half, -1)
+    fp.mul_gamma(2 * j + n, -1)
     for l in (l1, l2, l3):
-        fp.mul_fraction(Fraction(2 * l + n - 2, 2))
-        fp.mul_gamma(j - l + half - 1)
-        fp.mul_int(dim(n, l), -1)
+        # (2l + n - 2) / (2 dim(n, l)) = l! (n - 2)! / (2 (l + n - 3)!); the 2s are below
+        fp.mul_factorial(l)
+        fp.mul_factorial(n - 2)
+        fp.mul_factorial(l + n - 3, -1)
+        fp.mul_gamma(2 * (j - l) + n - 2)
         fp.mul_factorial(j - l, -1)
-    fp.mul_gamma(half, -2)
+    fp.mul_int(2, -3)
+    fp.mul_gamma(n, -2)
     return fp.sqrt_surd()
 
 
@@ -109,20 +123,18 @@ def threej_zero(n: int, l1: int, l2: int, l3: int, allow_n3: bool = False) -> Su
 # triangular normalization factors
 # ---------------------------------------------------------------------------
 
-def nabla_coupled_sq_fp(n: int, a: int, b: int, e: int, inverted: bool = False) -> FactoredProduct:
-    """Squared triangular factor as a factored product; inverted flips the first pair."""
+def _mul_nabla_sq(fp: FactoredProduct, n: int, a: int, b: int, e: int, inverted: bool = False) -> FactoredProduct:
+    """Multiply the ledger by a squared triangular factor; inverted flips the first pair."""
     if not triangle_ok(a, b, e):
         raise ValueError(f"triad ({a}, {b}, {e}) violates the triangle condition")
-    half = Fraction(n, 2)
-    fp = FactoredProduct()
     sgn = -1 if inverted else 1
     fp.mul_factorial((b + e - a) // 2, sgn)
     fp.mul_factorial((a - b + e) // 2, sgn)
-    fp.mul_gamma(Fraction(b + e - a, 2) + half - 1, -sgn)
-    fp.mul_gamma(Fraction(a - b + e, 2) + half - 1, -sgn)
+    fp.mul_gamma(b + e - a + n - 2, -sgn)
+    fp.mul_gamma(a - b + e + n - 2, -sgn)
     fp.mul_factorial((a + b - e) // 2)
-    fp.mul_gamma(Fraction(a + b + e, 2) + half)
-    fp.mul_gamma(Fraction(a + b - e, 2) + half - 1, -1)
+    fp.mul_gamma(a + b + e + n)
+    fp.mul_gamma(a + b - e + n - 2, -1)
     fp.mul_factorial((a + b + e) // 2 + n - 3, -1)
     return fp
 
@@ -131,7 +143,7 @@ def nabla_tilde_0356(n: int, a: int, b: int, e: int) -> SurdValue:
     """Stretched-basis triangular factor; rational-surd valued only for even n."""
     if n % 2:
         raise ResidualSqrtPiError("odd n leaves pi**(-1/2)")
-    return nabla_coupled_sq_fp(n, a, b, e, inverted=True).sqrt_surd()
+    return _mul_nabla_sq(FactoredProduct(), n, a, b, e, inverted=True).sqrt_surd()
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +170,6 @@ def _abcdef(labels: SixJLabels) -> Fraction:
 
 def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     n = labels.n
-    tau = Fraction(n, 2) - 1
     arr = shelepin(labels)
     table = series_table(arr, variant)
     total, terms = double_sum(table, n - 2)
@@ -167,14 +178,18 @@ def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     a1, a2, a3, a4 = arr.alpha
     b1, _, b3 = arr.beta
     odd = (a1 - a3) % 2 if variant == "A" else (b1 - b3) % 2
-    lead = Fraction(factorial(table.lead_alpha + n - 3), factorial(n - 3))
+    fp = FactoredProduct()
+    fp.mul_factorial(table.lead_alpha + n - 3)
+    fp.mul_factorial(n - 3, -1)
     for m in table.factorials:
-        lead /= factorial(m)
-    half = Fraction(n, 2)
-    gamma_dens = [a2 + tau + 1, a3 + tau + 1, a4 + tau + 1, half, half, half]
-    gblock = gamma_ratio_product([r + tau for r in table.shifted], gamma_dens)
-    value = (gblock * (-lead * total if odd else lead * total)).to_rational()
-    return value * _abcdef(labels), terms
+        fp.mul_factorial(m, -1)
+    for r in table.shifted:
+        fp.mul_gamma(2 * r + n - 2)  # Gamma(r + tau)
+    for a in (a2, a3, a4):
+        fp.mul_gamma(2 * a + n, -1)  # Gamma(a + tau + 1)
+    fp.mul_gamma(n, -3)
+    value = fp.to_fraction() * total * _abcdef(labels)
+    return (-value if odd else value), terms
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +399,18 @@ def _c_stretched(labels: SixJLabels, shift: int) -> tuple[Fraction, int]:
         raise ValueError(_STRETCHED_NEEDS[shift])
     a, b, e, d, c, f = labels.six
     n = labels.n
-    tau = Fraction(n, 2) - 1
-    half = Fraction(n, 2)
     a1, a2, a3, _ = arr.alpha
-    nums = [a + tau - shift, b + tau - shift, r(3, 2) + tau, r(2, 3) + tau,
-            Fraction(a1 + n - 2), r(3, 4) + tau, r(2, 4) + tau]
-    dens = [Fraction(n - 2), half, half, half, e + half + shift,
-            Fraction(r(1, 4) + 1), Fraction(r(1, 2) + 1), Fraction(r(2, 1) + 1),
-            a3 + half, Fraction(r(1, 3) + 1), Fraction(r(3, 1) + 1), a2 + half]
-    value = gamma_ratio_product(nums, dens).to_rational() * _abcdef(labels)
+    fp = FactoredProduct()
+    for x in (a - shift, b - shift, r(3, 2), r(2, 3), r(3, 4), r(2, 4)):
+        fp.mul_gamma(2 * x + n - 2)  # Gamma(x + tau)
+    for two_x in (2 * e + n + 2 * shift, 2 * a3 + n, 2 * a2 + n):
+        fp.mul_gamma(two_x, -1)
+    fp.mul_gamma(n, -3)
+    fp.mul_factorial(a1 + n - 3)
+    fp.mul_factorial(n - 3, -1)
+    for m in (r(1, 4), r(1, 2), r(2, 1), r(1, 3), r(3, 1)):
+        fp.mul_factorial(m, -1)
+    value = fp.to_fraction() * _abcdef(labels)
     if shift:
         value *= Fraction(
             2 * a * (c + d - e) * (e - c + d + n - 2)
@@ -515,11 +533,11 @@ def assemble_sixj(c_value: Fraction, labels: SixJLabels) -> SurdValue:
     n = labels.n
     fp = FactoredProduct()
     for t in _TRIADS:
-        fp.mul(nabla_coupled_sq_fp(n, *(getattr(labels, name) for name in t)))
+        _mul_nabla_sq(fp, n, *(getattr(labels, name) for name in t))
     fp.mul_factorial(n - 3, 4)
-    fp.mul_gamma(Fraction(n, 2), 8)
-    fp.mul_fraction(_abcdef(labels), -2)
-    return fp.sqrt_surd() * c_value
+    fp.mul_gamma(n, 8)
+    # every evaluator multiplies its value by _abcdef(labels) > 0
+    return fp.sqrt_surd() * (c_value / _abcdef(labels))
 
 
 DEFAULT_CACHE_SIZE = 65536

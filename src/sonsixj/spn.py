@@ -84,6 +84,15 @@ def dim_sp(n: int, nu: int) -> int:
     return d.numerator
 
 
+def _mul_dim_sp(fp: FactoredProduct, n: int, nu: int) -> FactoredProduct:
+    """Multiply the ledger by dim_sp(n, nu) = 2 (n - nu + 1) (2n + 1)! / (nu! (2n - nu + 2)!)."""
+    fp.mul_int(2 * (n - nu + 1))
+    fp.mul_factorial(2 * n + 1)
+    fp.mul_factorial(nu, -1)
+    fp.mul_factorial(2 * n - nu + 2, -1)
+    return fp
+
+
 def _rarray(labels: SpLabels) -> RArray:
     return shelepin(SixJLabels(*labels.six, labels.n))
 
@@ -106,8 +115,8 @@ def sp_sum_terms(arr: RArray, n: int, method: str) -> Iterator[tuple[tuple[int, 
     return termwise(series_table(arr, method.upper()), -2 * n - 2)
 
 
-def _sqrt_block(labels: SpLabels, arr: RArray) -> SurdValue:
-    """Square root of d_e d_f times the normalization product.
+def _norm_sq(labels: SpLabels, arr: RArray) -> FactoredProduct:
+    """The ledger of d_e d_f times the normalization product, the square of the root block.
 
     Every factorial argument here is nonnegative for admissible labels: the
     triad half-sums obey alpha_k <= n, and each r_ik is at most the smallest
@@ -115,8 +124,8 @@ def _sqrt_block(labels: SpLabels, arr: RArray) -> SurdValue:
     """
     n = labels.n
     fp = FactoredProduct()
-    fp.mul_int(dim_sp(n, labels.e))
-    fp.mul_int(dim_sp(n, labels.f))
+    _mul_dim_sp(fp, n, labels.e)
+    _mul_dim_sp(fp, n, labels.f)
     for row in arr.rows:
         for rik in row:
             if rik < 0 or n + 1 - rik < 0:
@@ -128,7 +137,7 @@ def _sqrt_block(labels: SpLabels, arr: RArray) -> SurdValue:
             raise AssertionError(f"normalization factorial argument below zero: alpha={ak}, n={n}")
         fp.mul_factorial(2 * n + 2 - ak)
         fp.mul_factorial(n - ak, -1)
-    return fp.sqrt_surd()
+    return fp
 
 
 def u_sp(labels: SpLabels, method: str = "a") -> SpU:
@@ -153,17 +162,19 @@ def u_sp(labels: SpLabels, method: str = "a") -> SpU:
     _, a2, a3, a4 = arr.alpha
     table = series_table(arr, method.upper())
     total = sum(term for _, term in sp_sum_terms(arr, n, method))
-    den = factorial(2 * n + 2) * factorial(n) * factorial(2 * n + 2 - table.lead_alpha)
-    for v in table.factorials:
-        den *= factorial(v)
+    if total == 0:
+        return SpU(SurdValue.zero(), labels, method)
+    # the rational prefactor joins the root block squared, so the factorials cancel
+    # as exponents and nothing of size n! is expanded
+    fp = _norm_sq(labels, arr)
+    for m in (2 * n + 2, n, 2 * n + 2 - table.lead_alpha, *table.factorials):
+        fp.mul_factorial(m, -2)
     for v in table.shifted:
-        den *= factorial(n - v + 1)
-    num = factorial(n - a2) * factorial(n - a3) * factorial(n - a4)
-    rational = Fraction(num, den) * total
+        fp.mul_factorial(n - v + 1, -2)
+    for a in (a2, a3, a4):
+        fp.mul_factorial(n - a, 2)
     sign_exp = arr.beta[2] if method == "c" else arr.beta[0]
-    if sign_exp % 2:
-        rational = -rational
-    return SpU(_sqrt_block(labels, arr) * rational, labels, method)
+    return SpU(fp.sqrt_surd() * (-total if sign_exp % 2 else total), labels, method)
 
 
 def sp_symmetry_transform(labels: SpLabels) -> tuple[SpLabels, int]:
@@ -214,6 +225,6 @@ def sp_renormalized(labels: SpLabels, method: str = "a") -> SurdValue:
     if coeff.value.is_zero():
         return SurdValue.zero()
     fp = FactoredProduct()
-    fp.mul_int(dim_sp(labels.n, labels.e))
-    fp.mul_int(dim_sp(labels.n, labels.f))
+    _mul_dim_sp(fp, labels.n, labels.e)
+    _mul_dim_sp(fp, labels.n, labels.f)
     return coeff.value / fp.sqrt_surd()

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import time
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from sonsixj.cli import (
     render_exact,
 )
 from sonsixj.exact import SurdValue, surd_normalize
+from sonsixj.labels import SixJLabels
+from sonsixj.sixj import sixj
+from sonsixj.spn import SpLabels, u_sp
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +91,30 @@ def test_parse_exact_rejects_junk():
             parse_exact(text)
 
 
+def test_parse_exact_rejects_unfactorable_radicand_quickly():
+    text = "1*sqrt(%d)" % ((2**61 - 1) * (2**89 - 1))
+    start = time.perf_counter()
+    with pytest.raises(MalformedQuery, match="too large to factor"):
+        parse_exact(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_value_exact_round_trip_limit():
+    # every radicand prime is below n + the largest triad sum (sixj) or at most 2n + 2
+    # (sp_u); parse_exact needs those of 10**5 and above to multiply to less than 10**10
+    inside = [sixj(SixJLabels(5, 2, 3, 2, 5, 2, 99980)).value,
+              u_sp(SpLabels(1, 2, 1, 3, 2, 3, 49998)).value]
+    beyond = [sixj(SixJLabels(5, 2, 3, 2, 5, 2, 100049)).value,
+              u_sp(SpLabels(1, 2, 1, 3, 2, 3, 50076)).value]
+    for value in inside:
+        assert render_exact(parse_exact(render_exact(value))) == render_exact(value)
+    assert beyond[0].radicand % (100049 * 100057) == 0
+    assert beyond[1].radicand % (100151 * 100153) == 0
+    for value in beyond:
+        with pytest.raises(MalformedQuery, match="too large to factor"):
+            parse_exact(render_exact(value))
+
+
 def test_render_decimal():
     assert render_decimal(SurdValue.of_rational(Fraction(9, 400)), 8) == "0.0225"
     assert render_decimal(SurdValue.zero()) == "0"
@@ -107,6 +135,14 @@ def run_cli(capsys, argv):
 def test_cmd_dim(capsys):
     code, out = run_cli(capsys, ["dim", "--n", "5", "--l", "2"])
     assert code == 0 and out == "14\n"
+
+
+def test_cmd_dim_small_n(capsys):
+    assert run_cli(capsys, ["dim", "--n", "2", "--l", "0"]) == (0, "1\n")
+    assert run_cli(capsys, ["dim", "--n", "2", "--l", "1"]) == (0, "2\n")
+    code = main(["dim", "--n", "1", "--l", "0"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: dim needs n >= 2, got n = 1\n")
 
 
 def test_cmd_sp_dim(capsys):

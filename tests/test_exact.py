@@ -1,10 +1,13 @@
 """Exact arithmetic layer: gamma values, pochhammers, surds, factored products."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sonsixj import exact
 from sonsixj.exact import (
     FactoredProduct,
     GammaExact,
@@ -16,6 +19,7 @@ from sonsixj.exact import (
     gamma_exact,
     gamma_ratio_product,
     pochhammer,
+    primes_up_to,
     squarefree_decompose,
     surd_normalize,
 )
@@ -118,8 +122,11 @@ def test_pochhammer_values():
 def test_factor_int():
     assert factor_int(2**4 * 3**2 * 17) == {2: 4, 3: 2, 17: 1}
     assert factor_int(1) == {}
-    # semiprime with factors beyond the sieve
-    assert factor_int(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factor_int(99991 * 99989) == {99989: 1, 99991: 1}
+    assert factor_int(1000003) == {1000003: 1}  # prime cofactor below 10**10
+    # a semiprime whose factors are both beyond the trial-division bound
+    with pytest.raises(ValueError, match="too large to factor"):
+        factor_int(1000003 * 1000033)
 
 
 @given(st.integers(min_value=1, max_value=100000))
@@ -199,7 +206,8 @@ def test_factored_product_to_fraction():
     fp = FactoredProduct()
     fp.mul_factorial(5)
     fp.mul_int(7, 2)
-    fp.mul_fraction(Fraction(3, 4))
+    fp.mul_int(3)
+    fp.mul_int(2, -2)
     assert fp.to_fraction() == Fraction(120 * 49 * 3, 4)
 
 
@@ -208,7 +216,8 @@ def test_factored_product_sqrt_surd():
     fp.mul_int(18)
     assert fp.sqrt_surd() == surd_normalize(3, 2)
     fp2 = FactoredProduct()
-    fp2.mul_fraction(Fraction(9, 4))
+    fp2.mul_int(3, 2)
+    fp2.mul_int(2, -2)
     assert fp2.sqrt_surd() == SurdValue.of_rational(Fraction(3, 2))
 
 
@@ -217,3 +226,60 @@ def test_factored_product_factorial_ratio():
     fp.mul_factorial(10)
     fp.mul_factorial(7, -1)
     assert fp.to_fraction() == 10 * 9 * 8
+
+
+@pytest.mark.parametrize("e", [-2, -1, 1, 3])
+def test_factored_product_gamma_matches_gamma_exact(e):
+    for two_x in range(1, 81):
+        fp = FactoredProduct().mul_gamma(two_x, e)
+        expected = GammaExact(Fraction(1))
+        for _ in range(abs(e)):
+            g = gamma_exact(Fraction(two_x, 2))
+            expected = expected * g if e > 0 else expected / g
+        assert fp.pi_half == expected.sqrtpi_exp, two_x
+        fp.mul_gamma(1, -fp.pi_half)  # Gamma(1/2) = sqrt(pi)
+        assert fp.to_fraction() == expected.coeff, two_x
+
+
+def test_factored_product_rejects_nonpositive_factors():
+    for two_x in (0, -1, -2, -7):
+        with pytest.raises(PoleError):
+            FactoredProduct().mul_gamma(two_x)
+    for v in (0, -1, -6):
+        with pytest.raises(ValueError):
+            FactoredProduct().mul_int(v)
+        with pytest.raises(ValueError):
+            FactoredProduct().mul_int(v, -1)
+
+
+def _naive_primes(limit):
+    return [p for p in range(2, limit + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def test_primes_up_to_across_sieve_rebuilds(monkeypatch):
+    monkeypatch.setattr(exact, "_SIEVE", (1, ()))
+    assert primes_up_to(1) == () and primes_up_to(2) == (2,)
+    for limit in (3000, 100, 7919, 7920, 2500):
+        assert list(primes_up_to(limit)) == _naive_primes(limit), limit
+
+
+def test_primes_up_to_is_thread_safe(monkeypatch):
+    # four threads grow an empty sieve at once under a tiny switch interval; a prime
+    # table extended in place gave duplicated and missing primes here
+    expected = _naive_primes(3000)
+    for _ in range(5):
+        monkeypatch.setattr(exact, "_SIEVE", (1, ()))
+        results = []
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(list(primes_up_to(3000))))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert results == [expected] * 4

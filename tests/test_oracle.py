@@ -6,7 +6,7 @@ import pytest
 
 from sonsixj.exact import SurdValue, surd_normalize
 from sonsixj.labels import SixJLabels, admissible_sixes
-from sonsixj.oracle import sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
+from sonsixj.oracle import _prefactor, sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from sonsixj.sixj import sixj
 from sonsixj.verify import admissible_sets
 
@@ -116,3 +116,11 @@ def test_n3_equals_su2():
         assert sixj(SixJLabels(*six, 3), allow_n3=True, use_cache=False).value == su2_6j(*six), six
         count += 1
     assert count == 570
+
+
+def test_prefactor_at_large_n():
+    # dim(200004, 2) = 100003 * 200003, too large for factor_int when taken whole;
+    # (2x + n - 2) / dim(n, x) is 2 / 200003 for each of c, d, e = 2, so the prefactor
+    # sqrt((2 / 200003)**3 / 8) is sqrt(200003) / 200003**2
+    lab = SixJLabels(2, 2, 2, 2, 2, 2, 200004)
+    assert _prefactor(lab) == SurdValue(Fraction(1, 200003**2), Fraction(200003))

@@ -33,6 +33,15 @@ def test_dim_values():
     assert dim(10, 3) == 210
     assert dim(6, 0) == 1
     assert dim(7, 1) == 7
+    assert dim(3, 0) == 1 and dim(3, 4) == 9
+
+
+def test_dim_small_n():
+    assert dim(2, 0) == 1
+    assert [dim(2, l) for l in range(1, 5)] == [2, 2, 2, 2]
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            dim(n, 0)
 
 
 def test_threej_diagonal_law():

@@ -193,6 +193,17 @@ def test_renormalized_orbit_invariance():
             assert sp_renormalized(member, "b") == ref, (lab, member)
 
 
+def test_u_sp_at_twin_prime_rank():
+    # dim_sp(50076, 4) = (n-3)(2n+1)(2n)(2n-1)/12 has the twin primes 2n - 1 = 100151
+    # and 2n + 1 = 100153 as factors: too large for factor_int when taken whole
+    lab = SpLabels(2, 2, 4, 2, 2, 2, 50076)
+    expected = surd_normalize(Fraction(3, 501491110), 9314846920689986)
+    assert {u_sp(lab, m).value for m in SP_METHODS} == {expected}
+    ref = sp_renormalized(lab)
+    for member in sp_symmetry_orbit(lab)[:6]:
+        assert sp_renormalized(member) == ref, member
+
+
 def test_values_are_real():
     # every radicand stays positive after continuation
     for lab in all_sp_labels(2):
