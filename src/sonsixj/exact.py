@@ -26,7 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, mul, sub
 
 
 class PoleError(ArithmeticError):
@@ -182,7 +183,8 @@ _TRIAL_BOUND = 100000
 def factor_int(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division up to 10**5.
 
-    A cofactor left below 10**10 is prime; a larger one may not be, and raises
+    A cofactor left below 10**10 is prime, and so is a cofactor's k-th root when it
+    is an integer below 10**10.  Any other cofactor may not be prime, and raises
     ValueError rather than search for its factors.
     """
     if n < 1:
@@ -202,6 +204,14 @@ def factor_int(n: int) -> dict[int, int]:
         f += inc[i]
         i = (i + 1) % 8
     if f * f <= n:
+        # a prime p**k here has 2**16 < 10**5 < p < f*f < 2**34, which bounds k; the
+        # float root is within 10**-4 of p, so rounding it gives p exactly
+        bits = n.bit_length()
+        for k in range(max(2, bits // 34), bits // 16 + 1):
+            p = round(2 ** (math.log2(n) / k))
+            if p < f * f and n % p == 0 and p**k == n:
+                out[p] = k  # p has no factor below f and is below f*f, so it is prime
+                return out
         raise ValueError(
             f"a {n.bit_length()}-bit cofactor has no factor below {_TRIAL_BOUND}; too large to factor"
         )
@@ -357,15 +367,15 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def _factorial_exponents(m: int) -> tuple[tuple[int, int], ...]:
-    """Prime exponent vector of m! via Legendre's formula."""
+def _factorial_exponents(m: int) -> tuple[int, ...]:
+    """The exponents of m! by Legendre's formula, aligned with ``primes_up_to(m)``."""
     out = []
     for p in primes_up_to(m):
         e, q = 0, m
         while q:
             q //= p
             e += q
-        out.append((p, e))
+        out.append(e)
     return tuple(out)
 
 
@@ -377,34 +387,44 @@ class FactoredProduct:
     ``sqrt_surd``.  A Gamma argument is passed doubled, as the positive integer two_x
     of Gamma(two_x / 2).  A factor that is not positive raises: ``ValueError`` for an
     integer, ``PoleError`` for a Gamma argument.
+
+    Factorials fill a dense list of exponents indexed by prime position, one vector
+    addition per factorial.  Integers are factored into a sparse dict that joins the
+    list only on expansion, so a large prime factor never grows the sieve.
     """
 
-    __slots__ = ("exps", "pi_half")
+    __slots__ = ("exps", "top", "sparse", "pi_half")
 
     def __init__(self) -> None:
-        self.exps: dict[int, int] = {}
+        self.exps: list[int] = []  # exponent of the i-th prime, for the primes up to top
+        self.top = 1
+        self.sparse: dict[int, int] = {}
         self.pi_half = 0
-
-    def _bump(self, p: int, e: int) -> None:
-        newe = self.exps.get(p, 0) + e
-        if newe:
-            self.exps[p] = newe
-        else:
-            self.exps.pop(p, None)
 
     def mul_int(self, v: int, e: int = 1) -> "FactoredProduct":
         """Multiply by v**e for an integer v >= 1 (factored by trial division)."""
         if v < 1:
             raise ValueError(f"the ledger takes positive integers, got {v}")
+        sparse = self.sparse
         for p, k in factor_int(v).items():
-            self._bump(p, k * e)
+            sparse[p] = sparse.get(p, 0) + k * e
         return self
 
     def mul_factorial(self, m: int, e: int = 1) -> "FactoredProduct":
         if m < 0:
             raise ValueError(f"factorial of negative {m}")
-        for p, k in _factorial_exponents(m):
-            self._bump(p, k * e)
+        vec = _factorial_exponents(m)
+        exps = self.exps
+        k = len(vec)
+        if k > len(exps):
+            exps.extend(repeat(0, k - len(exps)))
+            self.top = m
+        if e == 1:
+            exps[:k] = map(add, exps, vec)
+        elif e == -1:
+            exps[:k] = map(sub, exps, vec)
+        else:
+            exps[:k] = map(add, exps, map(mul, vec, repeat(e)))
         return self
 
     def mul_gamma(self, two_x: int, e: int = 1) -> "FactoredProduct":
@@ -417,18 +437,26 @@ class FactoredProduct:
         m = two_x // 2
         self.mul_factorial(2 * m, e)
         self.mul_factorial(m, -e)
-        self._bump(2, -2 * m * e)
+        if m:
+            self.exps[0] -= 2 * m * e  # the prime 2, present since (2m)! joined
         self.pi_half += e
         return self
+
+    def _exponents(self) -> dict[int, int]:
+        """Prime -> exponent, zeros included: the dense list with the sparse dict folded in."""
+        out = dict(zip(primes_up_to(self.top), self.exps))
+        for p, e in self.sparse.items():
+            out[p] = out.get(p, 0) + e
+        return out
 
     def to_fraction(self) -> Fraction:
         if self.pi_half != 0:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half}")
         num = den = 1
-        for p, e in self.exps.items():
+        for p, e in self._exponents().items():
             if e > 0:
                 num *= p**e
-            else:
+            elif e < 0:
                 den *= p**-e
         return Fraction(num, den)
 
@@ -438,7 +466,7 @@ class FactoredProduct:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half} under sqrt")
         cnum = cden = 1
         rad = 1
-        for p, e in sorted(self.exps.items()):
+        for p, e in self._exponents().items():
             if e % 2:
                 # p**e = p**(e-1) * p, the stray p joins the radicand
                 rad *= p

@@ -19,13 +19,12 @@ array, with no residual sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import Iterator, NamedTuple
 
 from .exact import FactoredProduct, SurdValue
 from .labels import RArray, SixJLabels, admissible, require_int_labels, shelepin
-from .series import series_table, termwise
+from .series import double_sum, series_table, termwise
 
 __all__ = [
     "SP_METHODS",
@@ -78,10 +77,11 @@ def dim_sp(n: int, nu: int) -> int:
         raise ValueError("rank n must be a positive integer")
     if not 0 <= nu <= n:
         raise ValueError(f"column height {nu} outside 0..{n}")
-    d = Fraction(2 * factorial(2 * n + 1) * (n - nu + 1), factorial(nu) * factorial(2 * n - nu + 2))
-    if d.denominator != 1 or d <= 0:
-        raise AssertionError(f"dimension formula gave non-integer {d}")
-    return d.numerator
+    # 2 (n - nu + 1) (2n + 1)! / (nu! (2n - nu + 2)!), with (2n + 2)! = (2n + 2) (2n + 1)!
+    d, rem = divmod((n - nu + 1) * comb(2 * n + 2, nu), n + 1)
+    if rem or d <= 0:
+        raise AssertionError(f"dimension formula gave {d} with remainder {rem} over {n + 1}")
+    return d
 
 
 def _mul_dim_sp(fp: FactoredProduct, n: int, nu: int) -> FactoredProduct:
@@ -97,9 +97,17 @@ def _rarray(labels: SpLabels) -> RArray:
     return shelepin(SixJLabels(*labels.six, labels.n))
 
 
+def _sp_array(labels: SpLabels) -> RArray | None:
+    """The half-sum array of Sp-admissible labels, None for any other labels."""
+    if not admissible(labels):
+        return None
+    arr = _rarray(labels)
+    return arr if max(arr.alpha) <= labels.n else None
+
+
 def sp_admissible(labels: SpLabels) -> bool:
     """True when all four triads couple and every triad half-sum fits in n."""
-    return admissible(labels) and all(labels.n - ak >= 0 for ak in _rarray(labels).alpha)
+    return _sp_array(labels) is not None
 
 
 def sp_sum_terms(arr: RArray, n: int, method: str) -> Iterator[tuple[tuple[int, int], int]]:
@@ -156,12 +164,13 @@ def u_sp(labels: SpLabels, method: str = "a") -> SpU:
         raise ValueError("rank n must be a positive integer")
     if any(x < 0 for x in labels.six):
         raise ValueError(f"negative column height in {labels.six}")
-    if not sp_admissible(labels):
+    arr = _sp_array(labels)
+    if arr is None:
         return SpU(SurdValue.zero(), labels, method)
-    arr = _rarray(labels)
     _, a2, a3, a4 = arr.alpha
     table = series_table(arr, method.upper())
-    total = sum(term for _, term in sp_sum_terms(arr, n, method))
+    # the integer terms of sp_sum_terms, summed by the fused kernel
+    total, _ = double_sum(table, -2 * n - 2)
     if total == 0:
         return SpU(SurdValue.zero(), labels, method)
     # the rational prefactor joins the root block squared, so the factorials cancel

@@ -99,6 +99,11 @@ def test_parse_exact_rejects_unfactorable_radicand_quickly():
     assert time.perf_counter() - start < 1.0
 
 
+def test_parse_exact_prime_power_radicand():
+    # 8000360005400027 = 200003**3: a power of a prime beyond the trial-division bound
+    assert render_exact(parse_exact("1*sqrt(8000360005400027)")) == "200003*sqrt(200003)"
+
+
 def test_value_exact_round_trip_limit():
     # every radicand prime is below n + the largest triad sum (sixj) or at most 2n + 2
     # (sp_u); parse_exact needs those of 10**5 and above to multiply to less than 10**10

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: gamma values, pochhammers, surds, factored products."""
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -129,6 +130,17 @@ def test_factor_int():
         factor_int(1000003 * 1000033)
 
 
+def test_factor_int_prime_powers_beyond_the_bound():
+    assert factor_int(200003**3) == {200003: 3}
+    assert factor_int(2**5 * 3 * 1000003**4) == {2: 5, 3: 1, 1000003: 4}
+    assert factor_int(99991**2 * 9999999967**7) == {99991: 2, 9999999967: 7}
+    assert surd_normalize(1, Fraction(1, 200003**3)) == SurdValue(Fraction(1, 200003**2), Fraction(200003))
+    # a power whose root is itself beyond 10**10 may be composite, and still raises
+    for n in ((1000003 * 1000033)**2, (1000003 * 1000033)**3, 1000003**2 * 1000033**2 * 1000037):
+        with pytest.raises(ValueError, match="too large to factor"):
+            factor_int(n)
+
+
 @given(st.integers(min_value=1, max_value=100000))
 def test_squarefree_decompose_property(n):
     s, q = squarefree_decompose(n)
@@ -250,6 +262,43 @@ def test_factored_product_rejects_nonpositive_factors():
             FactoredProduct().mul_int(v)
         with pytest.raises(ValueError):
             FactoredProduct().mul_int(v, -1)
+
+
+def test_factored_product_large_int_factor_leaves_the_sieve():
+    # mul_int factors join the exponents only on expansion, so 1000003 grows no sieve
+    primes_up_to(1000)
+    bound = exact._SIEVE[0]
+    fp = FactoredProduct().mul_factorial(30).mul_int(2 * 1000003).mul_int(6, -1)
+    assert fp.to_fraction() == Fraction(math.factorial(30) * 2 * 1000003, 6)
+    fp.mul_int(1000003)
+    assert fp.sqrt_surd() == surd_normalize(1000003, Fraction(math.factorial(30), 3))
+    assert exact._SIEVE[0] == bound
+
+
+def test_factored_products_in_threads_agree():
+    def fill():
+        fp = FactoredProduct()
+        for m in range(0, 400, 7):
+            fp.mul_factorial(m, 1 if m % 2 else -2)
+            fp.mul_int(m + 1)
+        fp.mul_gamma(301, 3).mul_gamma(1, -3)
+        return fp.to_fraction(), fp.sqrt_surd()
+
+    expected = fill()
+    exact._factorial_exponents.cache_clear()
+    results = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(fill())) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert results == [expected] * 4
 
 
 def _naive_primes(limit):

@@ -5,12 +5,13 @@ import importlib
 import pytest
 
 from sonsixj.labels import SixJLabels
+from sonsixj.spn import SpLabels
 
 HOOKS = {
     "sixj": ("canonical_representative", "select_method", "c_alpha", "assemble_sixj",
              "cache_clear"),
     "cli": ("sixj", "render_exact", "render_decimal"),
-    "spn": ("sp_sum_terms",),
+    "spn": ("sp_sum_terms", "double_sum"),
 }
 
 
@@ -43,3 +44,19 @@ def test_sixj_calls_module_level_callees(monkeypatch):
     assert calls == {"select_method": 1, "c_alpha": 1, "assemble_sixj": 1}  # hit
     sixj_mod.sixj(lab, use_cache=False)
     assert calls == {"select_method": 2, "c_alpha": 2, "assemble_sixj": 2}
+
+
+def test_u_sp_calls_module_level_double_sum(monkeypatch):
+    spn_mod = importlib.import_module("sonsixj.spn")
+    calls = []
+    original = spn_mod.double_sum
+
+    def stand_in(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spn_mod, "double_sum", stand_in)
+    assert not spn_mod.u_sp(SpLabels(1, 1, 2, 1, 1, 2, 2), "b").value.is_zero()
+    assert len(calls) == 1
+    assert spn_mod.u_sp(SpLabels(0, 0, 0, 2, 2, 2, 1)).value.is_zero()  # inadmissible
+    assert len(calls) == 1

@@ -1,13 +1,15 @@
 """Symplectic recoupling coefficients for single-column irreps."""
 
 import itertools
+import time
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sonsixj.exact import SurdValue, pochhammer, surd_normalize
-from sonsixj.labels import SixJLabels, shelepin
+from sonsixj.labels import TRIADS, SixJLabels, admissible_sixes, shelepin
 from sonsixj.oracle import su2_6j
 from sonsixj.spn import (
     SP_METHODS,
@@ -45,6 +47,23 @@ def test_dim_sp_binomial_identity():
         for nu in range(0, n + 1):
             expected = comb(2 * n, nu) - (comb(2 * n, nu - 2) if nu >= 2 else 0)
             assert dim_sp(n, nu) == expected, (n, nu)
+
+
+def test_dim_sp_matches_factorial_formula():
+    for n in range(1, 41):
+        for nu in range(0, n + 1):
+            expected = Fraction(2 * factorial(2 * n + 1) * (n - nu + 1),
+                                factorial(nu) * factorial(2 * n - nu + 2))
+            assert dim_sp(n, nu) == expected, (n, nu)
+
+
+def test_dim_sp_at_large_rank_is_fast():
+    # the factorial form expanded (2n + 1)! through a Fraction: 10 s at n = 3 * 10**5
+    start = time.perf_counter()
+    for n in (10**5, 3 * 10**5):
+        assert dim_sp(n, 2) == comb(2 * n, 2) - 1
+        assert dim_sp(n, 5) == comb(2 * n, 5) - comb(2 * n, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dim_sp_domain_errors():
@@ -160,6 +179,81 @@ def test_series_is_formal_continuation():
             assert terms == reference, (lab, method)
             zeros += sum(1 for _, t in terms if t == 0)
     assert zeros > 0
+
+
+# labels of every Sp-admissible set at ranks <= 12: each label is at most a triad half-sum
+_SP_SIXES_12 = [six for six in admissible_sixes(12)
+                if max(sum(six[i] for i in t) for t in TRIADS) <= 24]
+
+
+@st.composite
+def sp_labels_to_rank_12(draw):
+    six = draw(st.sampled_from(_SP_SIXES_12))
+    low = max(1, max(sum(six[i] for i in t) for t in TRIADS) // 2)
+    return SpLabels(*six, draw(st.integers(low, 12)))
+
+
+def _signed_prefactor_sq(lab, method):
+    """(sign, P) with u_sp = sign * sqrt(P) * (the sum of the series terms).
+
+    Written out from the normalization and the series prefactors with plain
+    factorials, independently of the package's ledger and series tables.  The
+    series prefactor divides by six factorials r!, by six (n - r + 1)! (the
+    SO(n) factors Gamma(r + tau + 1), continued to tau = -n - 1) and by
+    (2n + 2 - alpha)! of a leading alpha, per method."""
+    n = lab.n
+    arr = shelepin(SixJLabels(*lab.six, n))
+    (r11, r12, r13, r14), (r21, r22, r23, r24), (r31, r32, r33, r34) = arr.rows
+    a1, a2, a3, a4 = arr.alpha
+    facts, shifted, lead = {
+        "a": ((r11, r12, r13, r14, r21, r33), (r22, r23, r24, r32, r33, r34), a3),
+        "b": ((r11, r12, r14, r21, r31, r33), (r12, r22, r23, r24, r33, r34), a1),
+        "c": ((r11, r12, r21, r31, r33, r34), (r22, r23, r24, r32, r33, r34), a1),
+    }[method]
+    f = factorial
+    norm = Fraction(dim_sp(n, lab.e) * dim_sp(n, lab.f)
+                    * prod(f(r) * f(n + 1 - r) for row in arr.rows for r in row)
+                    * prod(f(2 * n + 2 - a) for a in arr.alpha),
+                    prod(f(n - a) for a in arr.alpha))
+    series = Fraction(f(n - a2) * f(n - a3) * f(n - a4),
+                      f(2 * n + 2) * f(n) * f(2 * n + 2 - lead)
+                      * prod(f(r) for r in facts) * prod(f(n - r + 1) for r in shifted))
+    sign_exp = arr.beta[2] if method == "c" else arr.beta[0]
+    return (-1) ** sign_exp, norm * series**2
+
+
+@given(sp_labels_to_rank_12())
+def test_u_sp_is_prefactor_times_termwise_sum(lab):
+    # the fused kernel against the termwise series under an independent prefactor
+    arr = shelepin(SixJLabels(*lab.six, lab.n))
+    for method in SP_METHODS:
+        sign, prefactor_sq = _signed_prefactor_sq(lab, method)
+        total = sum(term for _, term in sp_sum_terms(arr, lab.n, method))
+        assert u_sp(lab, method).value == surd_normalize(sign * total, prefactor_sq), (lab, method)
+
+
+@pytest.mark.parametrize("lab, expected", [
+    (SpLabels(35, 33, 38, 33, 39, 38, 60),
+     "53355546888826969511282627/2220201208252097800989308938980000*sqrt(43736461)"),
+    (SpLabels(44, 44, 52, 45, 47, 45, 80),
+     "-26199718911686776762784927019275/124637821648851263733448860265665206616878976"
+     "*sqrt(131297621332839)"),
+    (SpLabels(63, 64, 61, 62, 61, 64, 100),
+     "456712398485441309273286342393550247522864250840400472/"
+     "875868077881964449384411182702037862568209746053061612430583095365575*sqrt(258153677022)"),
+    (SpLabels(76, 74, 78, 79, 71, 71, 125),
+     "-349483326996270060247509401178315496450084642780489/"
+     "314143347298101354931463659359325157066289025381792668845865764270625"
+     "*sqrt(217170454346781298)"),
+    (SpLabels(90, 90, 84, 84, 84, 86, 150),
+     "-1626237277830211445635095559506892665099306333142496586658342639994597453587/"
+     "117415858991157526604330297519991508976102212706297889339431147276985523918466586223786210111650"
+     "*sqrt(111665282566806265)"),
+])
+def test_u_sp_pinned_at_large_rank(lab, expected):
+    # frozen from the termwise sum, before the series was fused
+    for method in SP_METHODS:
+        assert str(u_sp(lab, method).value) == expected, method
 
 
 def test_rank_one_reduces_to_su2():
