@@ -14,7 +14,8 @@ One executable, several kinds of query:
 
 Labels follow a bare ``--`` in the row order {a b e; d c f} (top row first).
 Exact strings are the source of truth; decimals are derived, never fed back.
-Exit codes: 0 success, 1 internal invariant violation, 2 malformed input.
+Exit codes: 0 success, 1 internal invariant violation, 2 malformed input, 141 when
+stdout closes before the output ends (128 + SIGPIPE).
 The only environment knob is SONSIXJ_CACHE_SIZE (entries in the value cache).
 """
 
@@ -26,6 +27,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -439,7 +441,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "kind_inner", None) is not None:
         args.kind = args.kind_inner
     try:
-        return args.handler(args, labels)
+        code = args.handler(args, labels)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does): point stdout at devnull so
+        # the flush at exit cannot fail again, and exit as a process killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

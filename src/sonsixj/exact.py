@@ -13,11 +13,14 @@ Two layers form products of Gamma values, and each serves one side:
   coefficient (with its dimensions and normalization) each fill one,
   as prime exponents with Gamma arguments passed as doubled positive integers, and
   expand it once, as a Fraction or as an exact square root.
-* ``GammaExact``, ``gamma_exact`` and ``gamma_ratio_product`` serve only the check
-  paths (``T3``, the factorial forms, the KdF series and the SU(2) oracles), so those
-  share no arithmetic with production.  Gamma evaluation there is exact at integer and
-  half-integer arguments, and ratios of gammas at nonpositive integers are resolved by
-  a common epsilon shift of every argument; see ``gamma_ratio_product``.
+* ``gamma_doubled`` serves only the check paths (``T3``, the factorial forms, the KdF
+  series and the SU(2) oracles), so those share no arithmetic with production.  It is
+  a bounded cache of Gamma(t/2) for integer t, returned as an integer numerator,
+  denominator and sqrt(pi) parity, so a check series multiplies integers and makes one
+  Fraction per term.  ``gamma_ratio_doubled`` forms ratios from it; Gamma values at
+  nonpositive integers are resolved there by a common epsilon shift of every argument.
+  ``gamma_exact``, ``gamma_ratio_product`` and ``GammaExact`` are the same values in
+  Fraction form, with half-integer arguments.
 """
 from __future__ import annotations
 
@@ -45,11 +48,6 @@ class RadicandMismatchError(ArithmeticError):
 def is_half_integer(x: Fraction | int) -> bool:
     """True when 2*x is an integer."""
     return (2 * Fraction(x)).denominator == 1
-
-
-def is_nonpositive_integer(x: Fraction | int) -> bool:
-    f = Fraction(x)
-    return f.denominator == 1 and f <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +92,25 @@ class GammaExact:
         return self.coeff
 
 
-@lru_cache(maxsize=None)
-def _odd_factorial_ratio(m: int) -> Fraction:
-    """(2m)! / (4**m m!) for m >= 0, the rational part of Gamma(m + 1/2)."""
-    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
+@lru_cache(maxsize=4096)
+def gamma_doubled(two_x: int) -> tuple[int, int, int]:
+    """Gamma(two_x / 2) for an integer two_x, as (num, den, pi_half).
+
+    The value is num / den * sqrt(pi)**pi_half, with num / den in lowest terms,
+    den > 0 and pi_half = two_x % 2.  Even two_x <= 0 is a pole and raises PoleError.
+    This is the check paths' Gamma table; the production ledger never reads it.
+    """
+    m = two_x // 2
+    if two_x % 2 == 0:
+        if m <= 0:
+            raise PoleError(f"gamma pole at {m}")
+        return math.factorial(m - 1), 1, 0
+    if m >= 0:
+        # Gamma(m + 1/2) = (2m)! / (4**m m!) sqrt(pi) = (2m - 1)!! / 2**m sqrt(pi)
+        return math.factorial(2 * m) // (math.factorial(m) << m), 1 << m, 1
+    # Gamma(1/2 - k) = (-4)**k k! / (2k)! sqrt(pi) = (-2)**k / (2k - 1)!! sqrt(pi), k = -m
+    k = -m
+    return (-2) ** k, math.factorial(2 * k) // (math.factorial(k) << k), 1
 
 
 def gamma_exact(x: Fraction | int) -> GammaExact:
@@ -106,22 +119,55 @@ def gamma_exact(x: Fraction | int) -> GammaExact:
     Integer x >= 1 gives (x-1)!.  Half-odd x gives a rational multiple of sqrt(pi),
     positive or negative argument alike.  Nonpositive integers raise PoleError.
     """
-    x = Fraction(x)
-    if x.denominator == 1:
-        n = int(x)
-        if n <= 0:
-            raise PoleError(f"gamma pole at {n}")
-        return GammaExact(Fraction(math.factorial(n - 1)))
-    if x.denominator != 2:
-        raise ValueError(f"gamma_exact needs a half-integer argument, got {x}")
-    m = (x - Fraction(1, 2))
-    m = int(m)
-    if m >= 0:
-        return GammaExact(_odd_factorial_ratio(m), 1)
-    # Gamma(1/2 - k) = (-4)**k k! / (2k)! * sqrt(pi) with k = -m
-    k = -m
-    coeff = Fraction((-4) ** k * math.factorial(k), math.factorial(2 * k))
-    return GammaExact(coeff, 1)
+    num, den, pi_half = gamma_doubled(_doubled(x))
+    return GammaExact(Fraction(num, den), pi_half)
+
+
+def _doubled(x: Fraction | int) -> int:
+    """2 * x for a half-integer x; anything else raises ValueError."""
+    f = Fraction(x)
+    if f.denominator > 2:
+        raise ValueError(f"gamma_exact needs a half-integer argument, got {f}")
+    return 2 * f.numerator // f.denominator
+
+
+def gamma_ratio_doubled(numerators, denominators) -> tuple[int, int, int]:
+    """prod Gamma(t/2) over numerators / prod Gamma(t/2) over denominators, t integers.
+
+    The value is num / den * sqrt(pi)**pi_half with den > 0, from ``gamma_doubled``,
+    and poles are resolved as ``gamma_ratio_product`` describes: an exact zero is
+    (0, 1, 0).
+    """
+    num = den = 1
+    pi_half = 0
+    num_poles: list[int] = []
+    den_poles: list[int] = []
+    for t in numerators:
+        if t <= 0 and t % 2 == 0:
+            num_poles.append(-t // 2)
+        else:
+            a, b, p = gamma_doubled(t)
+            num *= a
+            den *= b
+            pi_half += p
+    for t in denominators:
+        if t <= 0 and t % 2 == 0:
+            den_poles.append(-t // 2)
+        else:
+            a, b, p = gamma_doubled(t)
+            num *= b
+            den *= a
+            pi_half -= p
+    if len(num_poles) > len(den_poles):
+        raise PoleError(
+            f"unpaired gamma poles in numerator: {sorted(-x for x in num_poles)}"
+        )
+    if len(num_poles) < len(den_poles):
+        return 0, 1, 0
+    for x, y in zip(sorted(num_poles), sorted(den_poles)):
+        num *= -math.factorial(y) if (x - y) % 2 else math.factorial(y)
+        den *= math.factorial(x)
+    return (-num, -den, pi_half) if den < 0 else (num, den, pi_half)
 
 
 def gamma_ratio_product(
@@ -136,31 +182,9 @@ def gamma_ratio_product(
     contributing (-1)**(x - y) * y! / x! for numerator argument -x against denominator
     argument -y.  The result does not depend on how the poles are paired.
     """
-    num_poles: list[int] = []
-    den_poles: list[int] = []
-    value = GammaExact(Fraction(1))
-    for a in numerators:
-        f = Fraction(a)
-        if is_nonpositive_integer(f):
-            num_poles.append(-int(f))
-        else:
-            value = value * gamma_exact(f)
-    for a in denominators:
-        f = Fraction(a)
-        if is_nonpositive_integer(f):
-            den_poles.append(-int(f))
-        else:
-            value = value / gamma_exact(f)
-    if len(num_poles) > len(den_poles):
-        raise PoleError(
-            f"unpaired gamma poles in numerator: {sorted(-x for x in num_poles)}"
-        )
-    if len(num_poles) < len(den_poles):
-        return GammaExact(Fraction(0))
-    for x, y in zip(sorted(num_poles), sorted(den_poles)):
-        sign = -1 if (x - y) % 2 else 1
-        value = value * Fraction(sign * math.factorial(y), math.factorial(x))
-    return value
+    num, den, pi_half = gamma_ratio_doubled([_doubled(a) for a in numerators],
+                                            [_doubled(a) for a in denominators])
+    return GammaExact(Fraction(num, den), pi_half)
 
 
 def pochhammer(a: Fraction | int, k: int) -> Fraction:

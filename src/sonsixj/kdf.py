@@ -11,19 +11,24 @@ is a verification layer over the production double sums: it evaluates the
 series generically, generates the six parameter sets with their prefactors,
 validates the linear dependencies between parameters, and checks the formal
 label-reflection maps that permute the six parameterizations.
+
+The arithmetic is its own: the parameters are formed as doubled integers, the
+series sums integer Pochhammer rows over one denominator, and the prefactors take
+Gamma values from ``exact.gamma_doubled``, never from the production ledger or
+``series``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .exact import (
     GammaExact,
     PoleError,
-    gamma_exact,
-    is_nonpositive_integer,
-    pochhammer,
+    gamma_doubled,
+    gamma_ratio_doubled,
 )
 from .labels import SixJLabels, admissible, reflect_labels, require_int_labels, shelepin
 
@@ -48,195 +53,214 @@ class KdFParams:
     y: Fraction = field(default_factory=lambda: Fraction(1))
 
 
+def _nonpositive_int(u) -> bool:
+    """u, an int or a Fraction, is an integer <= 0."""
+    return u.denominator == 1 and u.numerator <= 0
+
+
 def _axis_max(uppers) -> int:
     """Largest summation index allowed by the nonpositive-integer uppers."""
-    stops = [-int(u) for u in uppers if is_nonpositive_integer(u)]
+    stops = [-u.numerator for u in uppers if _nonpositive_int(u)]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive integer upper parameter")
     return min(stops)
 
 
+def _pochhammer_row(uppers, lowers, top: int, x=1) -> tuple[list[int], int]:
+    """prod (u)_k / prod (l)_k * x**k for k = 0..top, as integer weights over one denominator.
+
+    Returns ([w_0, ..., w_top], den) with the k-th value w_k / den.  Each parameter
+    is an int or a Fraction, read as numerator and denominator (a half-integer's is
+    its doubled value over 2); no lower (l)_k may vanish for k <= top.
+    """
+    nums = [1]
+    dens = [1]
+    num = den = 1
+    for k in range(top):
+        for u in uppers:
+            num *= u.numerator + k * u.denominator
+            den *= u.denominator
+        for v in lowers:
+            num *= v.denominator
+            den *= v.numerator + k * v.denominator
+        num *= x.numerator
+        den *= x.denominator
+        nums.append(num)
+        dens.append(den)
+    # each den divides the last: it is a prefix of the same product
+    return [w * (den // d) for w, d in zip(nums, dens)], den
+
+
 def kdf_eval(p: KdFParams) -> Fraction:
-    """Evaluate the terminating series exactly."""
+    """Evaluate the terminating series exactly.
+
+    Each axis and the coupled (a1)_{s+t} / (c1)_{s+t} become one integer row over a
+    common denominator, so the double sum runs in integers and one Fraction is made.
+    """
     smax = _axis_max(p.b)
     tmax = _axis_max(p.b_prime)
     for dj in p.d:
-        if is_nonpositive_integer(dj) and -int(dj) < smax:
+        if _nonpositive_int(dj) and -dj.numerator < smax:
             raise PoleError(f"denominator parameter {dj} vanishes inside the s-rectangle")
     for dj in p.d_prime:
-        if is_nonpositive_integer(dj) and -int(dj) < tmax:
+        if _nonpositive_int(dj) and -dj.numerator < tmax:
             raise PoleError(f"denominator parameter {dj} vanishes inside the t-rectangle")
-    if is_nonpositive_integer(p.c1) and -int(p.c1) < smax + tmax:
+    if _nonpositive_int(p.c1) and -p.c1.numerator < smax + tmax:
         raise PoleError(f"coupled denominator parameter {p.c1} vanishes inside the rectangle")
-    total = Fraction(0)
-    for s in range(smax + 1):
-        brow = Fraction(1)
-        for bi in p.b:
-            brow *= pochhammer(bi, s)
-        if brow == 0:
-            continue
-        for dj in p.d:
-            brow /= pochhammer(dj, s)
-        brow *= p.x ** s / factorial(s)
-        for t in range(tmax + 1):
-            trow = Fraction(1)
-            for bi in p.b_prime:
-                trow *= pochhammer(bi, t)
-            if trow == 0:
-                continue
-            for dj in p.d_prime:
-                trow /= pochhammer(dj, t)
-            term = (brow * trow * pochhammer(p.a1, s + t) * p.y ** t
-                    / (factorial(t) * pochhammer(p.c1, s + t)))
-            total += term
-    return total
+    srow, sden = _pochhammer_row(p.b, (*p.d, 1), smax, p.x)  # the lower 1 gives s!
+    trow, tden = _pochhammer_row(p.b_prime, (*p.d_prime, 1), tmax, p.y)
+    crow, cden = _pochhammer_row((p.a1,), (p.c1,), smax + tmax)
+    total = sum(w * sum(map(mul, trow, crow[s:])) for s, w in enumerate(srow))
+    return Fraction(total, sden * tden * cden)
 
 
 def _series_params(six: tuple[int, ...], n: int, variant: str) -> KdFParams:
-    """Parameter lists from (possibly formal, negative) labels."""
+    """Parameter lists from (possibly formal, negative) labels.
+
+    Every quantity is formed doubled, as an integer, and halved into a Fraction
+    once at the end; h(x) = x + n - 2 is 2 (x/2 + tau).
+    """
     a, b, e, d, c, f = six
-    tau = Fraction(n, 2) - 1
-    al = [Fraction(c + d + e, 2), Fraction(b + d + f, 2),
-          Fraction(a + c + f, 2), Fraction(a + b + e, 2)]
-    be = [Fraction(a + b + c + d, 2), Fraction(a + d + e + f, 2),
-          Fraction(b + c + e + f, 2)]
+    al = [c + d + e, b + d + f, a + c + f, a + b + e]
+    be = [a + b + c + d, a + d + e + f, b + c + e + f]
     (r11, r12, r13, r14), (r21, r22, r23, r24), (r31, r32, r33, r34) = (
         tuple(bi - ak for ak in al) for bi in be)
     a1_, a2_, a3_, a4_ = al
     b1_, b2_, b3_ = be
 
     def h(x):
-        return x + tau
+        return x + n - 2
 
     if variant == "1a":
-        a1 = b2_ - b1_ + 1
+        a1 = b2_ - b1_ + 2
         c1 = h(b2_) - b1_
-        bb = (-r11, -r14, h(r23), r22 + 1)
-        dd = (a1, h(a4_) - r11 + 1, -h(r34) - r11 + 1)
-        bp = (h(r21), h(r24), -r13, -h(r12) + 1)
-        dp = (a1, -h(r32) - r13 + 1, h(a2_) - r13 + 1)
+        bb = (-r11, -r14, h(r23), r22 + 2)
+        dd = (a1, h(a4_) - r11 + 2, -h(r34) - r11 + 2)
+        bp = (h(r21), h(r24), -r13, -h(r12) + 2)
+        dp = (a1, -h(r32) - r13 + 2, h(a2_) - r13 + 2)
     elif variant == "1b":
-        a1 = -r11 - h(r23) + 1
+        a1 = -r11 - h(r23) + 2
         c1 = -r11 - r23
         bb = (-r11, -r21, -h(a4_), h(r34))
-        dd = (a1, a1_ - a4_ + 1, -r11 - r22)
+        dd = (a1, a1_ - a4_ + 2, -r11 - r22)
         bp = (-r23, -r13, h(r32), -h(a2_))
-        dp = (a1, -r13 - h(r24) + 1, h(a3_) - a2_)
+        dp = (a1, -r13 - h(r24) + 2, h(a3_) - a2_)
     elif variant == "2a":
-        a1 = -h(r34) - r11 + 1
+        a1 = -h(r34) - r11 + 2
         c1 = -r34 - r11
-        bb = (-r11, -r14, h(r23), r22 + 1)
-        dd = (a1, b2_ - b1_ + 1, h(a4_) - r11 + 1)
-        bp = (-r34, -r31, -h(a2_), -a3_ - n + 3)
-        dp = (-h(r14) - r31 + 1, -h(r24) - r31 + 1, -b3_ - n + 3)
+        bb = (-r11, -r14, h(r23), r22 + 2)
+        dd = (a1, b2_ - b1_ + 2, h(a4_) - r11 + 2)
+        bp = (-r34, -r31, -h(a2_), -a3_ - 2 * n + 6)
+        dp = (-h(r14) - r31 + 2, -h(r24) - r31 + 2, -b3_ - 2 * n + 6)
     elif variant == "2b":
-        a1 = a1_ - a4_ + 1
+        a1 = a1_ - a4_ + 2
         c1 = h(a1_) - a4_
         bb = (-r11, -r21, h(r34), -h(a4_))
-        dd = (a1, -r11 - h(r23) + 1, -r11 - r22)
-        bp = (h(r14), h(r24), -r31, a1_ + n - 2)
-        dp = (a1, h(a2_) - r31 + 1, a3_ - r31 + n - 2)
+        dd = (a1, -r11 - h(r23) + 2, -r11 - r22)
+        bp = (h(r14), h(r24), -r31, a1_ + 2 * n - 4)
+        dp = (a1, h(a2_) - r31 + 2, a3_ - r31 + 2 * n - 4)
     elif variant == "3a":
-        a1 = -h(r32) - r11 + 1
+        a1 = -h(r32) - r11 + 2
         c1 = -r32 - r11
         bb = (-r11, -r12, -h(a3_), -h(a4_))
-        dd = (a1, -b1_ - n + 3, -r11 - r22)
+        dd = (a1, -b1_ - 2 * n + 6, -r11 - r22)
         bp = (-r32, -r31, h(r24), h(r23))
-        dp = (a1, h(a2_) - r31 + 1, h(b2_) - b3_)
+        dp = (a1, h(a2_) - r31 + 2, h(b2_) - b3_)
     elif variant == "3b":
-        a1 = a1_ - a2_ + 1
+        a1 = a1_ - a2_ + 2
         c1 = h(a1_) - a2_
-        bb = (-r11, h(r32), a1_ + n - 2, r22 + 1)
-        dd = (a1, h(a3_) - r11 + 1, h(a4_) - r11 + 1)
-        bp = (h(r12), -r31, -h(a2_), -h(r21) + 1)
-        dp = (a1, -h(r24) - r31 + 1, -h(r23) - r31 + 1)
+        bb = (-r11, h(r32), a1_ + 2 * n - 4, r22 + 2)
+        dd = (a1, h(a3_) - r11 + 2, h(a4_) - r11 + 2)
+        bp = (h(r12), -r31, -h(a2_), -h(r21) + 2)
+        dp = (a1, -h(r24) - r31 + 2, -h(r23) - r31 + 2)
     else:
         raise ValueError(f"unknown variant {variant}")
-    frac6 = lambda t: tuple(Fraction(v) for v in t)
-    return KdFParams(Fraction(a1), Fraction(c1), frac6(bb), frac6(dd),
-                     frac6(bp), frac6(dp))
+    halve = lambda t: tuple(Fraction(v, 2) for v in t)
+    return KdFParams(Fraction(a1, 2), Fraction(c1, 2), halve(bb), halve(dd),
+                     halve(bp), halve(dp))
 
 
 def _prefactor(labels: SixJLabels, variant: str) -> GammaExact:
+    """The variant's prefactor; factorials take plain integers, and every Gamma
+    argument is doubled (upper-case names, h(X) = X + n - 2 is 2 (x + tau))."""
     n = labels.n
-    tau = Fraction(n, 2) - 1
     arr = shelepin(labels)
     r = arr.r
-    a1_, a2_, a3_, a4_ = (Fraction(x) for x in arr.alpha)
-    b1_, b2_, b3_ = (Fraction(x) for x in arr.beta)
+    a1_, a2_, a3_, a4_ = arr.alpha
+    b1_, b2_, b3_ = arr.beta
+    A2, A3, A4 = 2 * a2_, 2 * a3_, 2 * a4_
+    A1, B1, B2, B3 = 2 * a1_, 2 * b1_, 2 * b2_, 2 * b3_
+
+    def R(i, k):
+        return 2 * r(i, k)
 
     def h(x):
-        return x + tau
+        return x + n - 2
 
     if variant == "1a":
         sgn_exp = 0
         fnums = [a3_ + n - 3]
         fdens = [r(1, 1), r(1, 2), r(1, 3), r(1, 4), r(3, 3), b2_ - b1_]
-        gnums = [h(r(2, 1)), h(r(2, 2)), h(r(2, 3)), h(r(2, 4)), h(r(3, 3)),
-                 h(r(3, 4)) + r(1, 1), h(r(3, 2)) + r(1, 3)]
-        gdens = [h(a3_) + 1, h(b2_) - b1_, h(a2_) - r(1, 3) + 1, h(a4_) - r(1, 1) + 1]
+        gnums = [h(R(2, 1)), h(R(2, 2)), h(R(2, 3)), h(R(2, 4)), h(R(3, 3)),
+                 h(R(3, 4)) + R(1, 1), h(R(3, 2)) + R(1, 3)]
+        gdens = [h(A3) + 2, h(B2) - B1, h(A2) - R(1, 3) + 2, h(A4) - R(1, 1) + 2]
     elif variant == "1b":
         sgn_exp = a1_ - a3_
         fnums = [a3_ + n - 3, r(1, 1) + r(2, 2), r(1, 1) + r(2, 3)]
         fdens = [r(1, 1), r(1, 2), r(1, 3), r(2, 1), r(2, 2), r(2, 3), r(3, 3),
                  a1_ - a4_]
-        gnums = [h(r(1, 2)), h(r(2, 2)), h(r(3, 2)), h(r(3, 3)), h(r(3, 4)),
-                 r(1, 3) + h(r(2, 4)), r(1, 1) + h(r(2, 3))]
-        gdens = [h(a2_) + 1, h(a3_) + 1, h(a4_) + 1, h(a3_) - a2_]
+        gnums = [h(R(1, 2)), h(R(2, 2)), h(R(3, 2)), h(R(3, 3)), h(R(3, 4)),
+                 R(1, 3) + h(R(2, 4)), R(1, 1) + h(R(2, 3))]
+        gdens = [h(A2) + 2, h(A3) + 2, h(A4) + 2, h(A3) - A2]
     elif variant == "2a":
         sgn_exp = b1_ - b3_
         fnums = [r(3, 4) + r(1, 1), b3_ + n - 3]
         fdens = [r(1, 1), r(1, 2), r(1, 4), r(3, 1), r(3, 3), r(3, 4), b2_ - b1_]
-        gnums = [h(r(1, 2)), h(r(2, 2)), h(r(2, 3)), h(r(3, 3)),
-                 h(r(2, 4)) + r(3, 1), h(r(3, 4)) + r(1, 1)]
-        gdens = [h(a2_) + 1, h(a3_) + 1, h(a4_) - r(1, 1) + 1]
+        gnums = [h(R(1, 2)), h(R(2, 2)), h(R(2, 3)), h(R(3, 3)),
+                 h(R(2, 4)) + R(3, 1), h(R(3, 4)) + R(1, 1)]
+        gdens = [h(A2) + 2, h(A3) + 2, h(A4) - R(1, 1) + 2]
     elif variant == "2b":
         sgn_exp = 0
         fnums = [a1_ + n - 3, a3_ + n - 3, r(1, 1) + r(2, 2)]
         fdens = [r(1, 1), r(1, 2), r(2, 1), r(2, 2), r(3, 1), r(3, 3),
                  a3_ - r(3, 1) + n - 3, a1_ - a4_]
-        gnums = [h(r(1, 2)), h(r(1, 4)), h(r(2, 2)), h(r(2, 4)), h(r(3, 3)),
-                 h(r(3, 4)), r(1, 1) + h(r(2, 3))]
-        gdens = [h(a3_) + 1, h(a4_) + 1, h(a1_) - a4_, h(a2_) - r(3, 1) + 1]
+        gnums = [h(R(1, 2)), h(R(1, 4)), h(R(2, 2)), h(R(2, 4)), h(R(3, 3)),
+                 h(R(3, 4)), R(1, 1) + h(R(2, 3))]
+        gdens = [h(A3) + 2, h(A4) + 2, h(A1) - A4, h(A2) - R(3, 1) + 2]
     elif variant == "3a":
         sgn_exp = b1_ - b3_
         fnums = [b1_ + n - 3, r(1, 1) + r(2, 2), r(1, 1) + r(3, 2)]
         fdens = [r(1, 1), r(1, 2), r(2, 1), r(2, 2), r(3, 1), r(3, 2), r(3, 3),
                  r(3, 4)]
-        gnums = [h(r(2, 1)), h(r(2, 2)), h(r(2, 3)), h(r(2, 4)), h(r(3, 3)),
-                 h(r(3, 4)), h(r(3, 2)) + r(1, 1)]
-        gdens = [h(a3_) + 1, h(a4_) + 1, h(a2_) - r(3, 1) + 1, h(b2_) - b3_]
+        gnums = [h(R(2, 1)), h(R(2, 2)), h(R(2, 3)), h(R(2, 4)), h(R(3, 3)),
+                 h(R(3, 4)), h(R(3, 2)) + R(1, 1)]
+        gdens = [h(A3) + 2, h(A4) + 2, h(A2) - R(3, 1) + 2, h(B2) - B3]
     elif variant == "3b":
         sgn_exp = 0
         fnums = [a1_ + n - 3]
         fdens = [r(1, 1), r(2, 1), r(3, 1), r(3, 3), r(3, 4), a1_ - a2_]
-        gnums = [h(r(1, 2)), h(r(2, 2)), h(r(3, 2)), h(r(3, 3)), h(r(3, 4)),
-                 h(r(2, 3)) + r(3, 1), h(r(2, 4)) + r(3, 1)]
-        gdens = [h(a2_) + 1, h(a3_) - r(1, 1) + 1, h(a4_) - r(1, 1) + 1,
-                 h(a1_) - a2_]
+        gnums = [h(R(1, 2)), h(R(2, 2)), h(R(3, 2)), h(R(3, 3)), h(R(3, 4)),
+                 h(R(2, 3)) + R(3, 1), h(R(2, 4)) + R(3, 1)]
+        gdens = [h(A2) + 2, h(A3) - R(1, 1) + 2, h(A4) - R(1, 1) + 2,
+                 h(A1) - A2]
     else:
         raise ValueError(f"unknown variant {variant}")
 
-    out = GammaExact(Fraction(-1 if int(sgn_exp) % 2 else 1))
+    for v in fnums + fdens:
+        if v < 0:
+            raise IndefinitePrefactorError(f"factorial of {v} in variant {variant} prefactor")
+    for t in gnums + gdens:
+        if t <= 0 and t % 2 == 0:
+            raise IndefinitePrefactorError(f"gamma at {t // 2} in variant {variant} prefactor")
+    num, den, pi_half = gamma_ratio_doubled(gnums, gdens)
+    half_num, half_den, half_pi = gamma_doubled(n)  # Gamma(n/2), cubed below
+    num *= half_den**3
+    den *= half_num**3 * factorial(n - 3)
     for v in fnums:
-        if v != int(v) or v < 0:
-            raise IndefinitePrefactorError(f"factorial of {v} in variant {variant} prefactor")
-        out = out * GammaExact(Fraction(factorial(int(v))))
+        num *= factorial(v)
     for v in fdens:
-        if v != int(v) or v < 0:
-            raise IndefinitePrefactorError(f"factorial of {v} in variant {variant} prefactor")
-        out = out / GammaExact(Fraction(factorial(int(v))))
-    for v in gnums:
-        if is_nonpositive_integer(v):
-            raise IndefinitePrefactorError(f"gamma at {v} in variant {variant} prefactor")
-        out = out * gamma_exact(Fraction(v))
-    for v in gdens:
-        if is_nonpositive_integer(v):
-            raise IndefinitePrefactorError(f"gamma at {v} in variant {variant} prefactor")
-        out = out / gamma_exact(Fraction(v))
-    half = Fraction(n, 2)
-    out = out / (gamma_exact(half) * gamma_exact(half) * gamma_exact(half))
-    return out / GammaExact(Fraction(factorial(n - 3)))
+        den *= factorial(v)
+    return GammaExact(Fraction(-num if sgn_exp % 2 else num, den), pi_half - 3 * half_pi)
 
 
 def kdf_params_for(labels: SixJLabels, variant: str) -> tuple[KdFParams, GammaExact]:
@@ -253,10 +277,10 @@ def kdf_c_alpha(labels: SixJLabels, variant: str) -> Fraction:
     params, pre = kdf_params_for(labels, variant)
     series = kdf_eval(params)
     n = labels.n
-    prod = Fraction(1)
+    prod = 1
     for x in labels.six:
-        prod *= Fraction(2 * x + n - 2, 2)
-    return (pre * GammaExact(series)).to_rational() * prod
+        prod *= 2 * x + n - 2
+    return (pre * GammaExact(series)).to_rational() * Fraction(prod, 64)
 
 
 def check_balance(p: KdFParams, n: int | None = None) -> bool:

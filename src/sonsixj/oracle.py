@@ -19,7 +19,7 @@ from math import factorial
 from .exact import (
     FactoredProduct,
     SurdValue,
-    gamma_ratio_product,
+    gamma_ratio_doubled,
     is_half_integer,
 )
 from .labels import SixJLabels, admissible, require_int_labels
@@ -28,39 +28,48 @@ from .sixj import nabla_tilde_0356, threej_zero
 HalfInt = Fraction
 
 
-def _su2_triangle_ok(a: HalfInt, b: HalfInt, c: HalfInt) -> bool:
-    if (a + b + c).denominator != 1:
-        return False
-    return abs(a - b) <= c <= a + b
-
-
 def su2_6j(j1: HalfInt, j2: HalfInt, j3: HalfInt,
            j4: HalfInt, j5: HalfInt, j6: HalfInt) -> SurdValue:
     """SU(2) 6j coefficient by the Racah single-sum formula; 0 if not coupled."""
     js = [Fraction(j) for j in (j1, j2, j3, j4, j5, j6)]
     if any(j < 0 or not is_half_integer(j) for j in js):
         raise ValueError(f"bad angular momenta {js}")
-    j1, j2, j3, j4, j5, j6 = js
+    return _su2_6j_doubled(*(int(2 * j) for j in js))
+
+
+def _su2_6j_doubled(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> SurdValue:
+    """``su2_6j`` with every angular momentum doubled, summed in integers."""
+    if min(j1, j2, j3, j4, j5, j6) < 0:
+        raise ValueError(f"bad angular momenta {[Fraction(j, 2) for j in (j1, j2, j3, j4, j5, j6)]}")
     triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
-    if not all(_su2_triangle_ok(*t) for t in triads):
-        return SurdValue.zero()
+    for a, b, c in triads:
+        if (a + b + c) % 2 or not abs(a - b) <= c <= a + b:
+            return SurdValue.zero()
     fp = FactoredProduct()
     for a, b, c in triads:
-        fp.mul_factorial(int(a + b - c))
-        fp.mul_factorial(int(a - b + c))
-        fp.mul_factorial(int(-a + b + c))
-        fp.mul_factorial(int(a + b + c) + 1, -1)
-    ts = [int(sum(t)) for t in triads]
-    qs = [int(j1 + j2 + j4 + j5), int(j2 + j3 + j5 + j6), int(j3 + j1 + j6 + j4)]
-    total = Fraction(0)
-    for t in range(max(ts), min(qs) + 1):
-        term = Fraction(factorial(t + 1))
+        fp.mul_factorial((a + b - c) // 2)
+        fp.mul_factorial((a - b + c) // 2)
+        fp.mul_factorial((b + c - a) // 2)
+        fp.mul_factorial((a + b + c) // 2 + 1, -1)
+    ts = [(a + b + c) // 2 for a, b, c in triads]
+    qs = [(j1 + j2 + j4 + j5) // 2, (j2 + j3 + j5 + j6) // 2, (j3 + j1 + j6 + j4) // 2]
+    lo, hi = max(ts), min(qs)  # lo <= hi: each q - t is a triangle excess
+    # every term's denominator divides this one
+    den = 1
+    for ti in ts:
+        den *= factorial(hi - ti)
+    for qi in qs:
+        den *= factorial(qi - lo)
+    total = 0
+    for t in range(lo, hi + 1):
+        d = 1
         for ti in ts:
-            term /= factorial(t - ti)
+            d *= factorial(t - ti)
         for qi in qs:
-            term /= factorial(qi - t)
+            d *= factorial(qi - t)
+        term = factorial(t + 1) * den // d
         total += -term if t % 2 else term
-    return fp.sqrt_surd() * total
+    return fp.sqrt_surd() * Fraction(total, den)
 
 
 def _check_even_n(labels: SixJLabels) -> None:
@@ -88,20 +97,17 @@ def sixj_via_su2_triple(labels: SixJLabels) -> SurdValue:
         return SurdValue.zero()
     a, b, e, d, c, f = labels.six
     n = labels.n
-    q = Fraction(n, 4) - 1
-    h = Fraction(n, 2) - 2
+    q = n // 2 - 2  # n/4 - 1 and n/2 - 2, doubled
+    h = n - 4
     total = SurdValue.zero()
     for lp in range(min(a, b, f) + 1):
-        s1 = su2_6j(Fraction(b, 2), Fraction(f, 2) + q, Fraction(d, 2) + q,
-                    Fraction(f, 2) + q, Fraction(b, 2) + h, lp + h)
+        s1 = _su2_6j_doubled(b, f + q, d + q, f + q, b + h, 2 * lp + h)
         if s1.coeff == 0:
             continue
-        s2 = su2_6j(Fraction(a, 2), Fraction(f, 2) + q, Fraction(c, 2) + q,
-                    Fraction(f, 2) + q, Fraction(a, 2) + h, lp + h)
+        s2 = _su2_6j_doubled(a, f + q, c + q, f + q, a + h, 2 * lp + h)
         if s2.coeff == 0:
             continue
-        s3 = su2_6j(Fraction(a, 2), Fraction(b, 2) + q, Fraction(e, 2) + q,
-                    Fraction(b, 2) + q, Fraction(a, 2) + h, lp + h)
+        s3 = _su2_6j_doubled(a, b + q, e + q, b + q, a + h, 2 * lp + h)
         if s3.coeff == 0:
             continue
         tail = FactoredProduct()
@@ -127,23 +133,22 @@ def sixj_via_su2_pair(labels: SixJLabels, reinstate_phase: bool = False) -> Surd
         return SurdValue.zero()
     a, b, e, d, c, f = labels.six
     n = labels.n
-    q = Fraction(n, 4) - 1
-    h = Fraction(n, 2) - 2
+    q = n // 2 - 2  # n/4 - 1 and n/2 - 2, doubled
+    h = n - 4
     total = SurdValue.zero()
     for g in range(e, a + b + 1, 2):
-        s1 = su2_6j(Fraction(c, 2) + q, Fraction(a, 2), Fraction(f, 2) + q,
-                    Fraction(b, 2) + h, Fraction(d, 2) + q, Fraction(g, 2) + h)
+        s1 = _su2_6j_doubled(c + q, a, f + q, b + h, d + q, g + h)
         if s1.coeff == 0:
             continue
-        s2 = su2_6j(Fraction(b, 2), Fraction(a, 2) + h, Fraction(g, 2) + h,
-                    Fraction(c, 2) + q, Fraction(d, 2) + q, Fraction(f, 2) + q)
+        s2 = _su2_6j_doubled(b, a + h, g + h, c + q, d + q, f + q)
         if s2.coeff == 0:
             continue
-        gfac = gamma_ratio_product([Fraction(g - e + n, 2) - 2], [Fraction(n, 2) - 2])
-        if gfac.is_zero():
+        # Gamma((g - e + n)/2 - 2) / Gamma(n/2 - 2), rational at even n
+        num, den, _ = gamma_ratio_doubled([g - e + n - 4], [n - 4])
+        if num == 0:
             continue
-        lead = (gfac.to_rational() * (g + n - 3) * factorial((g + e) // 2 + n - 4)
-                / (factorial((g - e) // 2) * factorial((g + e + n) // 2 - 1)))
+        lead = Fraction(num * (g + n - 3) * factorial((g + e) // 2 + n - 4),
+                        den * factorial((g - e) // 2) * factorial((g + e + n) // 2 - 1))
         tail = FactoredProduct()
         tail.mul_factorial((a - b + g) // 2)
         tail.mul_factorial((b - a + g) // 2)

@@ -19,8 +19,10 @@ Each method multiplies its value by ``_abcdef(labels)``, a positive rational tha
 ``assemble_sixj`` divides back out.  The production path (the prefactors of ``A``,
 ``B``, ``C`` and of the closed form, ``threej_zero`` and ``assemble_sixj``) forms its
 Gamma and factorial products in one ``exact.FactoredProduct`` ledger per call, with
-every Gamma argument passed doubled, as an integer.  The Gamma-product sums use
-``GammaExact`` arithmetic instead, so the check path shares none of it.
+every Gamma argument passed doubled, as an integer.  The Gamma-product sums pass
+their arguments doubled too, but evaluate them with the check paths' own table,
+``exact.gamma_doubled``, in integer products with one Fraction per term; they use
+neither the ledger nor ``series``.
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
 the cheapest evaluation; ``sixj`` ties everything together with a ``functools.lru_cache``
@@ -40,13 +42,11 @@ from typing import NamedTuple
 
 from .exact import (
     FactoredProduct,
-    GammaExact,
     PoleError,
     ResidualSqrtPiError,
     SurdValue,
-    gamma_exact,
-    gamma_ratio_product,
-    is_nonpositive_integer,
+    gamma_doubled,
+    gamma_ratio_doubled,
 )
 from .labels import (
     RArray,
@@ -89,11 +89,6 @@ def dim(n: int, l: int) -> int:
         return 1
     # (l + n - 3)! / (n - 2)! without expanding either factorial
     return (2 * l + n - 2) * perm(l + n - 3, l - 1) // factorial(l)
-
-
-@lru_cache(maxsize=None)
-def _gamma(x: Fraction) -> GammaExact:
-    return gamma_exact(x)
 
 
 def threej_zero(n: int, l1: int, l2: int, l3: int, allow_n3: bool = False) -> SurdValue:
@@ -196,59 +191,59 @@ def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
 # Gamma-product sums (independent test path, written in the labels)
 # ---------------------------------------------------------------------------
 
-def _term_gamma_product(nums, dens) -> GammaExact | None:
-    """Product of gammas; None when a denominator pole makes the term zero."""
-    for x in dens:
-        if is_nonpositive_integer(x):
-            return None
-    out = GammaExact(Fraction(1))
-    for x in nums:
-        if is_nonpositive_integer(x):
-            raise PoleError(f"numerator gamma pole at {x}")
-        out = out * _gamma(Fraction(x))
-    for x in dens:
-        out = out / _gamma(Fraction(x))
-    return out
-
-
 def _gamma_sum(labels: SixJLabels, pre_nums, pre_dens, sign_exp: int, points) -> tuple[Fraction, int]:
     """A Gamma-product series and its prefactor; returns (value, nonzero terms).
 
+    Every Gamma argument is passed doubled, as the integer t of Gamma(t/2).
     ``points`` yields (s, nums, dens) per lattice point, for the term
-    (-1)**s * prod Gamma(nums) / prod Gamma(dens).  The terms must share one
-    sqrt(pi) exponent.  The sum is multiplied by the Gamma ratio of ``pre_nums``
+    (-1)**s * prod Gamma(nums) / prod Gamma(dens); a pole among ``dens`` makes the
+    term zero, and one among ``nums`` raises.  Each term is a product of integers
+    from ``gamma_doubled`` and joins the sum as one Fraction; the terms must share
+    one sqrt(pi) exponent.  The sum is multiplied by the Gamma ratio of ``pre_nums``
     over ``pre_dens``, by 1/(n-3)!, by (-1)**sign_exp and by ``_abcdef``.
     """
-    total = GammaExact(Fraction(0))
-    terms = 0
+    total = Fraction(0)
+    pi_half = terms = 0
     for s, nums, dens in points:
-        g = _term_gamma_product(nums, dens)
-        if g is None or g.is_zero():
+        if min(dens) <= 0 and any(t <= 0 and t % 2 == 0 for t in dens):
             continue
+        if min(nums) <= 0:
+            for t in nums:
+                if t <= 0 and t % 2 == 0:
+                    raise PoleError(f"numerator gamma pole at {t // 2}")
+        num = -1 if s % 2 else 1
+        den = 1
+        p = 0
+        for t in nums:
+            a, b, e = gamma_doubled(t)
+            num *= a
+            den *= b
+            p += e
+        for t in dens:
+            a, b, e = gamma_doubled(t)
+            num *= b
+            den *= a
+            p -= e
         terms += 1
-        coeff = -g.coeff if s % 2 else g.coeff
-        if not total.is_zero() and total.sqrtpi_exp != g.sqrtpi_exp:
+        if total and p != pi_half:
             raise ResidualSqrtPiError("inconsistent sqrt(pi) exponent across series terms")
-        total = GammaExact(total.coeff + coeff, g.sqrtpi_exp)
-    if total.is_zero():
+        total += Fraction(num, den)
+        pi_half = p
+    if not total:
         return Fraction(0), terms
-    value = (gamma_ratio_product(pre_nums, pre_dens) * total) / factorial(labels.n - 3)
+    num, den, p = gamma_ratio_doubled(pre_nums, pre_dens)
+    if num and p + pi_half:
+        raise ResidualSqrtPiError(f"residual sqrt(pi)**{p + pi_half}")
     if sign_exp % 2:
-        value = -value
-    return value.to_rational() * _abcdef(labels), terms
+        num = -num
+    return Fraction(num, den * factorial(labels.n - 3)) * total * _abcdef(labels), terms
 
 
 def _c_factorial_ab(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     a, b, e, d, c, f = labels.six
     n = labels.n
-    half = Fraction(n, 2)
-    pre_nums = [Fraction((a + c + f) // 2 + n - 2),
-                Fraction(a + c - f, 2) + half - 1,
-                Fraction(b + e - a, 2) + half - 1,
-                Fraction(a - b + e, 2) + half - 1]
-    pre_dens = [Fraction(a + c + f, 2) + half,
-                Fraction((a + c - f) // 2 + 1), half, half, half,
-                Fraction((b + e - a) // 2 + 1), Fraction((a - b + e) // 2 + 1)]
+    pre_nums = [a + c + f + 2 * n - 4, a + c - f + n - 2, b + e - a + n - 2, a - b + e + n - 2]
+    pre_dens = [a + c + f + n, a + c - f + 2, n, n, n, b + e - a + 2, a - b + e + 2]
     sgn_exp = (b + c - e - f) // 2 if variant == "a" else (a - b - c + d) // 2
     z1_lo = max(0, (e + f - b - c) // 2)
     z1_hi = min((a - c + f) // 2, (d + f - b) // 2)
@@ -258,46 +253,25 @@ def _c_factorial_ab(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
         z2_lo, z2_hi = 0, min((b - d + f) // 2, (c + f - a) // 2)
 
     def points():
-        for z1 in range(z1_lo, z1_hi + 1):
-            for z2 in range(z2_lo, z2_hi + 1):
+        for z1 in range(2 * z1_lo, 2 * z1_hi + 1, 2):  # z1 and z2 doubled
+            for z2 in range(2 * z2_lo, 2 * z2_hi + 1, 2):
                 if variant == "a":
-                    nums = [Fraction(b + d - f, 2) + half - 1 + z1,
-                            Fraction((a + c - f) // 2 + 1 + z1),
-                            f + half - 1 - z1,
-                            Fraction(b + c + e - f, 2) + half - 1 - z2,
-                            Fraction(d + f - b, 2) + half - 1 + z2,
-                            Fraction(a - c + f, 2) + half - 1 + z2,
-                            Fraction(z1 + z2 + 1)]
-                    dens = [Fraction(z1 + 1),
-                            Fraction((a - c + f) // 2 - z1 + 1),
-                            Fraction((d + f - b) // 2 - z1 + 1),
-                            Fraction((b + c - e - f) // 2 + z1 + 1),
-                            Fraction(b + c + e - f, 2) + half + z1,
-                            Fraction(z2 + 1),
-                            Fraction((b + d - f) // 2 - z2 + 1),
-                            Fraction(a + c - f, 2) + half - 1 - z2,
-                            Fraction((e + f - b - c) // 2 + z2 + 1),
-                            f + half + z2,
-                            half - 1 + z1 + z2]
+                    nums = [b + d - f + n - 2 + z1, a + c - f + 2 + z1, 2 * f + n - 2 - z1,
+                            b + c + e - f + n - 2 - z2, d + f - b + n - 2 + z2,
+                            a - c + f + n - 2 + z2, z1 + z2 + 2]
+                    dens = [z1 + 2, a - c + f + 2 - z1, d + f - b + 2 - z1,
+                            b + c - e - f + 2 + z1, b + c + e - f + n + z1, z2 + 2,
+                            b + d - f + 2 - z2, a + c - f + n - 2 - z2, e + f - b - c + 2 + z2,
+                            2 * f + n + z2, n - 2 + z1 + z2]
                 else:
-                    nums = [Fraction(b + d - f, 2) + half - 1 + z1,
-                            Fraction((a + c - f) // 2 + 1 + z1),
-                            f + half - 1 - z1,
-                            Fraction(f - z1 - z2 + 1),
-                            Fraction(b + c - e + f, 2) + half - 1 - z2,
-                            f + half - 1 - z2,
-                            Fraction((b + c + e + f) // 2 + n - 2 - z2)]
-                    dens = [Fraction(z1 + 1), Fraction(z2 + 1),
-                            Fraction((a - c + f) // 2 - z1 + 1),
-                            Fraction((b + c - e - f) // 2 + z1 + 1),
-                            Fraction((d + f - b) // 2 - z1 + 1),
-                            Fraction(b + c + e - f, 2) + half + z1,
-                            f + half - 1 - z1 - z2,
-                            Fraction((b - d + f) // 2 - z2 + 1),
-                            Fraction((c + f - a) // 2 - z2 + 1),
-                            Fraction(b + d + f, 2) + half - z2,
-                            Fraction((a + c + f) // 2 + n - 2 - z2)]
-                yield z1 + z2, nums, dens
+                    nums = [b + d - f + n - 2 + z1, a + c - f + 2 + z1, 2 * f + n - 2 - z1,
+                            2 * f + 2 - z1 - z2, b + c - e + f + n - 2 - z2, 2 * f + n - 2 - z2,
+                            b + c + e + f + 2 * n - 4 - z2]
+                    dens = [z1 + 2, z2 + 2, a - c + f + 2 - z1, b + c - e - f + 2 + z1,
+                            d + f - b + 2 - z1, b + c + e - f + n + z1, 2 * f + n - 2 - z1 - z2,
+                            b - d + f + 2 - z2, c + f - a + 2 - z2, b + d + f + n - z2,
+                            a + c + f + 2 * n - 4 - z2]
+                yield (z1 + z2) // 2, nums, dens
 
     return _gamma_sum(labels, pre_nums, pre_dens, sgn_exp, points())
 
@@ -305,36 +279,21 @@ def _c_factorial_ab(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
 def _c_factorial_c(labels: SixJLabels) -> tuple[Fraction, int]:
     a, b, e, d, c, f = labels.six
     n = labels.n
-    half = Fraction(n, 2)
-    pre_nums = [Fraction(c + f - a, 2) + half - 1,
-                Fraction(a - c + f, 2) + half - 1,
-                Fraction(b + e - a, 2) + half - 1,
-                Fraction(a - b + e, 2) + half - 1]
-    pre_dens = [Fraction((c + f - a) // 2 + 1), Fraction((a - c + f) // 2 + 1),
-                half, half, half,
-                Fraction((b + e - a) // 2 + 1), Fraction((a - b + e) // 2 + 1)]
+    pre_nums = [c + f - a + n - 2, a - c + f + n - 2, b + e - a + n - 2, a - b + e + n - 2]
+    pre_dens = [c + f - a + 2, a - c + f + 2, n, n, n, b + e - a + 2, a - b + e + 2]
+    abcd = a + b + c - d + n - 2
 
     def points():
-        for z1 in range(min((a + b - e) // 2, (a + c - f) // 2) + 1):
-            for z2 in range(min((b - d + f) // 2, (c - d + e) // 2) + 1):
-                nums = [Fraction(a + b + c - d, 2) + half - 1 - z1,
-                        Fraction(a - z1 + 1),
-                        Fraction((a + b + c + d) // 2 + n - 2 - z1),
-                        Fraction(d + f - b, 2) + half - 1 + z2,
-                        Fraction(d + e - c, 2) + half - 1 + z2,
-                        Fraction(a + b + c - d, 2) + half - 1 - z2,
-                        Fraction((a + b + c - d) // 2 - z1 - z2 + 1)]
-                dens = [Fraction(z1 + 1), Fraction(z2 + 1),
-                        Fraction((a + b - e) // 2 - z1 + 1),
-                        Fraction(a + b + e, 2) + half - z1,
-                        Fraction((a + c - f) // 2 - z1 + 1),
-                        Fraction(a + c + f, 2) + half - z1,
-                        Fraction((b - d + f) // 2 - z2 + 1),
-                        Fraction((c - d + e) // 2 - z2 + 1),
-                        Fraction(a - b - c + d, 2) + half - 1 + z2,
-                        d + half + z2,
-                        Fraction(a + b + c - d, 2) + half - 1 - z1 - z2]
-                yield z1 + z2, nums, dens
+        for z1 in range(0, 2 * min((a + b - e) // 2, (a + c - f) // 2) + 1, 2):  # doubled
+            for z2 in range(0, 2 * min((b - d + f) // 2, (c - d + e) // 2) + 1, 2):
+                nums = [abcd - z1, 2 * a + 2 - z1, a + b + c + d + 2 * n - 4 - z1,
+                        d + f - b + n - 2 + z2, d + e - c + n - 2 + z2, abcd - z2,
+                        abcd - n + 4 - z1 - z2]
+                dens = [z1 + 2, z2 + 2, a + b - e + 2 - z1, a + b + e + n - z1,
+                        a + c - f + 2 - z1, a + c + f + n - z1, b - d + f + 2 - z2,
+                        c - d + e + 2 - z2, a - b - c + d + n - 2 + z2, 2 * d + n + z2,
+                        abcd - z1 - z2]
+                yield (z1 + z2) // 2, nums, dens
 
     return _gamma_sum(labels, pre_nums, pre_dens, (a + d - e - f) // 2, points())
 
@@ -342,43 +301,28 @@ def _c_factorial_c(labels: SixJLabels) -> tuple[Fraction, int]:
 def _c_triple(labels: SixJLabels) -> tuple[Fraction, int]:
     a, b, e, d, c, f = labels.six
     n = labels.n
-    half = Fraction(n, 2)
     r11 = (a + b - e) // 2
     r13 = (b + d - f) // 2
     r14 = (c + d - e) // 2
     r21 = (a - c + f) // 2
-    pre_nums = [Fraction((a + b + e) // 2 + n - 2),
-                Fraction(a + b - e, 2) + half - 1,
-                Fraction(b + e - a, 2) + half - 1,
-                Fraction(a - b + e, 2) + half - 1,
-                Fraction(d - b + f, 2) + half - 1]
-    pre_dens = [Fraction(a + c + f, 2) + half,
-                Fraction((a + c - f) // 2 + 1), half, half, half,
-                Fraction((b + e - a) // 2 + 1), Fraction((a - b + e) // 2 + 1),
-                Fraction((b - d + f) // 2 + 1)]
+    pre_nums = [a + b + e + 2 * n - 4, a + b - e + n - 2, b + e - a + n - 2, a - b + e + n - 2,
+                d - b + f + n - 2]
+    pre_dens = [a + c + f + n, a + c - f + 2, n, n, n, b + e - a + 2, a - b + e + 2,
+                b - d + f + 2]
+    abe = a + b - e + 2
 
     def points():
-        for z3 in range(r11 + 1):
-            for z1 in range(max(0, r11 - r14), min(r21, r11 - z3) + 1):
-                for z2 in range(min(r13, r11 - z3) + 1):
-                    nums = [Fraction(a - z1 + 1),
-                            Fraction(c + f - a, 2) + half - 1 + z1,
-                            Fraction(b - z2 + 1),
-                            Fraction((a + b - e) // 2 - z3 + 1),
-                            a + b + Fraction(d - c - e, 2) + half - 1 - z1 - z2 - z3,
-                            Fraction((a + b + c + d) // 2 + n - 2 - z2),
-                            Fraction(c - d + e, 2) + half - 1 + z3]
-                    dens = [Fraction(z1 + 1), Fraction(z2 + 1), Fraction(z3 + 1),
-                            Fraction((c + d - a - b) // 2 + z1 + 1),
-                            Fraction((a - c + f) // 2 - z1 + 1),
-                            Fraction((b + d - f) // 2 - z2 + 1),
-                            Fraction(a + b + n - 2 - z1 - z2),
-                            Fraction((a + b - e) // 2 - z1 - z3 + 1),
-                            Fraction((a + b - e) // 2 - z2 - z3 + 1),
-                            e + half + z3,
-                            Fraction(b + d + f, 2) + half - z2,
-                            Fraction(a + b - e, 2) + half - 1 - z3]
-                    yield r11 + z1 + z2 + z3, nums, dens
+        for z3 in range(0, 2 * r11 + 1, 2):  # z1, z2 and z3 doubled
+            for z1 in range(2 * max(0, r11 - r14), 2 * min(r21, r11 - z3 // 2) + 1, 2):
+                for z2 in range(0, 2 * min(r13, r11 - z3 // 2) + 1, 2):
+                    nums = [2 * a + 2 - z1, c + f - a + n - 2 + z1, 2 * b + 2 - z2, abe - z3,
+                            2 * a + 2 * b + d - c - e + n - 2 - z1 - z2 - z3,
+                            a + b + c + d + 2 * n - 4 - z2, c - d + e + n - 2 + z3]
+                    dens = [z1 + 2, z2 + 2, z3 + 2, c + d - a - b + 2 + z1, a - c + f + 2 - z1,
+                            b + d - f + 2 - z2, 2 * a + 2 * b + 2 * n - 4 - z1 - z2,
+                            abe - z1 - z3, abe - z2 - z3, 2 * e + n + z3,
+                            b + d + f + n - z2, abe + n - 4 - z3]
+                    yield r11 + (z1 + z2 + z3) // 2, nums, dens
 
     return _gamma_sum(labels, pre_nums, pre_dens, 0, points())
 

@@ -3,6 +3,8 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 import time
 from concurrent.futures import Future
 from fractions import Fraction
@@ -372,3 +374,18 @@ def test_sweep_jobs_capped_at_cpu_count(capsys, monkeypatch, cpus, jobs, workers
     code, out = run_cli(capsys, argv + ["--jobs", str(jobs)])
     assert (code, out) == (0, serial)
     assert RecordingPool.seen == workers
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader takes one row and closes the pipe, as `sonsixj sweep ... | head -1` does;
+    # the sweep prints far more than a pipe buffer holds, so the next write fails
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "sonsixj.cli", "sweep", "--kind", "calpha", "--n", "5..100",
+            "--max-label", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141  # 128 + SIGPIPE
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err.decode()

@@ -17,7 +17,9 @@ from sonsixj.exact import (
     ResidualSqrtPiError,
     SurdValue,
     factor_int,
+    gamma_doubled,
     gamma_exact,
+    gamma_ratio_doubled,
     gamma_ratio_product,
     pochhammer,
     primes_up_to,
@@ -63,6 +65,43 @@ def test_gamma_recurrence(m):
     lhs = gamma_exact(x + 1)
     rhs = gamma_exact(x) * x
     assert lhs == rhs
+
+
+def _gamma_by_recurrence(t: int) -> GammaExact:
+    """Gamma(t/2) from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) by x Gamma(x) = Gamma(x + 1)."""
+    odd = t % 2
+    x = Fraction(1, 2) if odd else Fraction(1)
+    value = GammaExact(Fraction(1), odd)
+    while 2 * x < t:
+        value = value * x
+        x += 1
+    while 2 * x > t:
+        x -= 1
+        value = value / x
+    return value
+
+
+@pytest.mark.parametrize("t", [t for t in range(-81, 82) if t > 0 or t % 2])
+def test_gamma_doubled_matches_gamma_exact(t):
+    num, den, pi_half = gamma_doubled(t)
+    assert den > 0 and math.gcd(num, den) == 1 and pi_half == t % 2
+    assert GammaExact(Fraction(num, den), pi_half) == gamma_exact(Fraction(t, 2))
+    assert GammaExact(Fraction(num, den), pi_half) == _gamma_by_recurrence(t)
+
+
+@pytest.mark.parametrize("t", range(-80, 1, 2))
+def test_gamma_doubled_poles_raise(t):
+    with pytest.raises(PoleError, match=f"gamma pole at {t // 2}$"):
+        gamma_doubled(t)
+
+
+def test_gamma_ratio_doubled_matches_gamma_ratio_product():
+    cases = [([5, -1], [3]), ([-4], [-2, 7]), ([2], [-2]), ([-3, 1], [-5, 9, 4])]
+    for nums, dens in cases:
+        num, den, pi_half = gamma_ratio_doubled(nums, dens)
+        assert den > 0
+        want = gamma_ratio_product([Fraction(t, 2) for t in nums], [Fraction(t, 2) for t in dens])
+        assert GammaExact(Fraction(num, den), pi_half) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Core 6j evaluation: dimensions, 3j prefactors, all evaluators, caching."""
 
+import importlib
 import sys
 import threading
 from fractions import Fraction
@@ -7,13 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sonsixj.exact import SurdValue, surd_normalize
+from sonsixj.exact import PoleError, ResidualSqrtPiError, SurdValue, surd_normalize
 from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, symmetry_orbit
 from sonsixj.sixj import (
     DEFAULT_CACHE_SIZE,
     FACTORIAL_METHODS,
     METHODS,
     MethodChoice,
+    _abcdef,
+    _gamma_sum,
     c_alpha,
     cache_clear,
     cache_info,
@@ -335,3 +338,53 @@ def test_threej_zero_rejects_non_int(bad):
         args[i] = bad
         with pytest.raises(ValueError, match=f"label {name} = "):
             threej_zero(*args)
+
+
+@pytest.mark.parametrize("module", ["exact", "sixj", "kdf"])
+def test_every_lru_cache_is_bounded(module):
+    # a long verify or a large-n check run must not keep every value it ever made
+    mod = importlib.import_module(f"sonsixj.{module}")
+    caches = {name: obj for name, obj in vars(mod).items() if hasattr(obj, "cache_parameters")}
+    assert caches
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, f"{module}.{name} is unbounded"
+
+
+def test_cache_info_reports_the_configured_size():
+    assert cache_info().maxsize == DEFAULT_CACHE_SIZE
+    configure_cache(123)
+    try:
+        assert cache_info().maxsize == 123
+    finally:
+        configure_cache(DEFAULT_CACHE_SIZE)
+    assert cache_info().maxsize == DEFAULT_CACHE_SIZE
+
+
+# the Gamma-product loop behind T3 and the factorial forms; arguments are doubled
+_LAB = SixJLabels(2, 2, 2, 2, 2, 2, 6)
+_SCALE = Fraction(1, 6) * _abcdef(_LAB)  # 1/(n-3)! times the six-label product
+
+
+def test_gamma_sum_skips_a_denominator_pole_uncounted():
+    # Gamma(1)/Gamma(0) is a zero term; -Gamma(3)/Gamma(1) = -2 is the one counted
+    assert _gamma_sum(_LAB, [], [], 0, iter([(0, [2], [0]), (1, [6], [2])])) == (-2 * _SCALE, 1)
+    # a denominator pole wins over a numerator pole in the same term
+    assert _gamma_sum(_LAB, [], [], 0, iter([(0, [-2], [0])])) == (0, 0)
+
+
+def test_gamma_sum_prefactor_and_sign():
+    # Gamma(5/2)/Gamma(1/2) = 3/4 times the term Gamma(1/2)/Gamma(1/2), negated
+    assert _gamma_sum(_LAB, [5], [1], 1, iter([(0, [1], [1])])) == (-Fraction(3, 4) * _SCALE, 1)
+
+
+def test_gamma_sum_numerator_pole_raises():
+    with pytest.raises(PoleError, match="numerator gamma pole at -1$"):
+        _gamma_sum(_LAB, [], [], 0, iter([(0, [4], [2]), (0, [3, -2], [2])]))
+
+
+def test_gamma_sum_mixed_sqrt_pi_raises():
+    # Gamma(1/2) carries sqrt(pi) and Gamma(1) does not
+    with pytest.raises(ResidualSqrtPiError, match="inconsistent"):
+        _gamma_sum(_LAB, [], [], 0, iter([(0, [1], [2]), (0, [2], [2])]))
+    with pytest.raises(ResidualSqrtPiError, match=r"residual sqrt\(pi\)\*\*1$"):
+        _gamma_sum(_LAB, [], [], 0, iter([(0, [1], [2])]))
