@@ -14,6 +14,9 @@ One executable, several kinds of query:
 
 Labels follow a bare ``--`` in the row order {a b e; d c f} (top row first).
 Exact strings are the source of truth; decimals are derived, never fed back.
+``--method auto`` means the orbit's cheapest method for sixj, A for calpha and
+a for sp_u; ``--digits`` takes 1..10000; ``verify`` with one named suite rejects
+a flag that suite does not take.
 Exit codes: 0 success, 1 internal invariant violation, 2 malformed input, 141 when
 stdout closes before the output ends (128 + SIGPIPE).
 The only environment knob is SONSIXJ_CACHE_SIZE (entries in the value cache).
@@ -33,7 +36,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exact import SurdValue, surd_normalize
 from .labels import SixJLabels, admissible_sixes, symmetry_orbit
@@ -43,6 +46,7 @@ from .verify import SUITES, run_suite
 
 DEFAULT_DIGITS = 16
 MAX_N_VALUES = 10_000  # most n values one --n may expand to
+MAX_DIGITS = 10_000  # most significant digits --digits may ask for
 
 _EXACT_PATTERN = re.compile(
     r"^(?P<num>-?\d+)(?:/(?P<den>\d+))?"
@@ -168,97 +172,98 @@ def _single_n(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-kind handlers
+# query kinds and their handlers
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(kind: str, six: Sequence[int], n: int, method: str,
-              allow_n3: bool = False) -> tuple[dict, SurdValue | Fraction]:
-    """(json payload, exact value) of one sixj, calpha or sp_u query.
+def _sixj_value(six, n, method, allow_n3):
+    result = sixj(SixJLabels(*six, n), method=method, allow_n3=allow_n3)
+    return result.method_used, result.predicted_terms, result.value
 
-    ``auto`` means A for calpha and a for sp_u.
+
+def _calpha_value(six, n, method, allow_n3):
+    result = c_alpha(SixJLabels(*six, n), method, allow_n3=allow_n3)
+    return result.method, result.terms, result.value
+
+
+class Query(NamedTuple):
+    """One single-value query kind, as the parser, the query handler and the sweep read it.
+
+    ``evaluate(labels, n, method, allow_n3)`` gives (method_used, predicted_terms, exact
+    value); it looks sixj up when called, so a tracer may replace ``cli.sixj``.
     """
-    if kind == "sixj":
-        result = sixj(SixJLabels(*six, n), method=method, allow_n3=allow_n3)
-        method_used, terms = result.method_used, result.predicted_terms
-    elif kind == "calpha":
-        result = c_alpha(SixJLabels(*six, n), method if method != "auto" else "A", allow_n3=allow_n3)
-        method_used, terms = result.method, result.terms
+
+    help: str
+    labels: int | str  # the label count after '--', or the name of the one scalar flag
+    evaluate: Callable
+    methods: tuple[str, ...] = ()  # the --method choices, auto first
+    auto: str = "auto"  # the method auto stands for
+    allow_n3: bool = False  # takes --allow-n3
+
+
+_SO_METHODS = ("auto",) + METHODS + FACTORIAL_METHODS
+
+QUERIES = {
+    "sixj": Query("full 6j-symbol {a b e; d c f}", 6, _sixj_value, _SO_METHODS, allow_n3=True),
+    "calpha": Query("normalization-free core coefficient", 6, _calpha_value, _SO_METHODS, "A", True),
+    "threej": Query("3j-symbol with zero projections", 3, lambda ls, n, method, allow_n3: (
+        None, None, threej_zero(n, *ls, allow_n3=allow_n3)), allow_n3=True),
+    "dim": Query("dimension of the symmetric irrep l of SO(n)", "l",
+                 lambda ls, n, method, allow_n3: (None, None, Fraction(dim(n, *ls)))),
+    "sp_dim": Query("dimension of the single-column irrep of Sp(2n)", "nu",
+                    lambda ls, n, method, allow_n3: (None, None, Fraction(dim_sp(n, *ls)))),
+    "sp_u": Query("symplectic recoupling coefficient", 6, lambda six, n, method, allow_n3: (
+        method, None, u_sp(SpLabels(*six, n), method).value), ("auto",) + SP_METHODS, "a"),
+}
+
+
+def _cmd_query(args, labels: list[int]) -> int:
+    """Every kind in QUERIES: labels (or one scalar flag), one n, one value."""
+    kind, query = args.command, QUERIES[args.command]
+    if isinstance(query.labels, str):
+        if labels:
+            raise MalformedQuery(f"{kind} takes --{query.labels}, not trailing labels")
+        labels = [getattr(args, query.labels)]
     else:
-        result = u_sp(SpLabels(*six, n), method if method != "auto" else "a")
-        method_used, terms = result.method, None
-    return _payload(kind, n, six, method_used, terms, result.value), result.value
-
-
-def _cmd_value(args, labels: list[int]) -> int:
-    """The sixj, calpha and sp_u queries: six labels, one n, one value."""
-    six = _need_labels(labels, 6, args.kind)
+        labels = _need_labels(labels, query.labels, kind)
     n = _single_n(args.n)
-    _emit(args, *_evaluate(args.kind, six, n, args.method, getattr(args, "allow_n3", False)))
-    return 0
-
-
-def _cmd_threej(args, labels: list[int]) -> int:
-    ls = _need_labels(labels, 3, "threej")
-    n = _single_n(args.n)
-    value = threej_zero(n, *ls, allow_n3=args.allow_n3)
-    _emit(args, _payload("threej", n, ls, None, None, value), value)
-    return 0
-
-
-def _cmd_dim(args, labels: list[int]) -> int:
-    if labels:
-        raise MalformedQuery("dim takes --l, not trailing labels")
-    n = _single_n(args.n)
-    value = dim(n, args.l)
-    _emit(args, _payload("dim", n, [args.l], None, None, Fraction(value)), Fraction(value))
-    return 0
-
-
-def _cmd_sp_dim(args, labels: list[int]) -> int:
-    if labels:
-        raise MalformedQuery("sp_dim takes --nu, not trailing labels")
-    n = _single_n(args.n)
-    value = dim_sp(n, args.nu)
-    _emit(args, _payload("sp_dim", n, [args.nu], None, None, Fraction(value)), Fraction(value))
+    if not 1 <= args.digits <= MAX_DIGITS:
+        raise MalformedQuery(f"--digits must be in 1..{MAX_DIGITS}, got {args.digits}")
+    method = query.auto if args.method == "auto" else args.method
+    method_used, terms, value = query.evaluate(labels, n, method, args.allow_n3)
+    _emit(args, _payload(kind, n, labels, method_used, terms, value), value)
     return 0
 
 
 def _cmd_orbit(args, labels: list[int]) -> int:
     six = _need_labels(labels, 6, "orbit")
     n = _single_n(args.n)
-    lab = SixJLabels(*six, n)
-    variants = sorted(symmetry_orbit(lab), key=lambda v: v.six)
-    for variant in variants:
+    for variant in sorted(symmetry_orbit(SixJLabels(*six, n)), key=lambda v: v.six):
         if args.format == "json":
-            print(
-                json.dumps(
-                    {"kind": "orbit", "n": n, "labels": list(variant.six)},
-                    separators=(", ", ": "),
-                )
-            )
+            print(json.dumps({"kind": "orbit", "n": n, "labels": list(variant.six)}, separators=(", ", ": ")))
         else:
             print(" ".join(str(x) for x in variant.six))
     return 0
+
+
+_VERIFY_FLAGS = {"n": "n_values", "max_label": "max_label", "count": "count", "seed": "seed"}  # dest: keyword
 
 
 def _cmd_verify(args, labels: list[int]) -> int:
     if labels:
         raise MalformedQuery("verify takes no trailing labels")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n_values"] = tuple(_parse_n_list(args.n))
-    if args.max_label is not None:
-        kwargs["max_label"] = args.max_label
-    if args.count is not None:
-        kwargs["count"] = args.count
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    given = {dest: getattr(args, dest) for dest in _VERIFY_FLAGS if getattr(args, dest) is not None}
+    if "n" in given:
+        given["n"] = tuple(_parse_n_list(given["n"]))
     failed = False
     for name in names:
         accepted = inspect.signature(SUITES[name]).parameters
-        report = run_suite(name, **{k: v for k, v in kwargs.items() if k in accepted})
+        kwargs = {_VERIFY_FLAGS[dest]: v for dest, v in given.items() if _VERIFY_FLAGS[dest] in accepted}
+        if args.suite != "all" and len(kwargs) < len(given):
+            foreign = next(dest for dest in given if _VERIFY_FLAGS[dest] not in accepted)
+            raise MalformedQuery(f"verify --suite {name} does not take --{foreign.replace('_', '-')}")
+        report = run_suite(name, **kwargs)
         print(report.summary())
         for line in report.mismatches:
             print(f"  MISMATCH {line}")
@@ -271,17 +276,13 @@ def _cmd_verify(args, labels: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-_SWEEP_METHODS = {
-    "sixj": ("auto",) + METHODS + FACTORIAL_METHODS,
-    "calpha": ("auto",) + METHODS + FACTORIAL_METHODS,  # auto means A
-    "sp_u": ("auto",) + SP_METHODS,  # auto means a
-}
-
 SweepTask = tuple[str, tuple[int, ...], int, str]
 
 
 def _sweep_eval(task: SweepTask) -> str:
-    return json.dumps(_evaluate(*task)[0], separators=(", ", ": "))
+    kind, six, n, method = task
+    return json.dumps(_payload(kind, n, six, *QUERIES[kind].evaluate(six, n, method, False)),
+                      separators=(", ", ": "))
 
 
 def _sweep_tasks(args) -> Iterator[SweepTask]:
@@ -290,11 +291,10 @@ def _sweep_tasks(args) -> Iterator[SweepTask]:
     Tasks come in order of n, then of the labels (a, b, e, d, c, f).
     """
     n_values = _parse_n_list(args.n)
-    kind, method = args.kind, args.method
-    if method not in _SWEEP_METHODS[kind]:
-        raise MalformedQuery(
-            f"sweep --kind {kind} takes --method {', '.join(_SWEEP_METHODS[kind])}; got {method!r}"
-        )
+    kind, query = args.kind, QUERIES[args.kind]
+    if args.method not in query.methods:
+        raise MalformedQuery(f"sweep --kind {kind} takes --method {', '.join(query.methods)}; got {args.method!r}")
+    method = query.auto if args.method == "auto" else args.method
     if kind in ("sixj", "calpha"):
         if args.max_label is None:
             raise MalformedQuery("sweep over sixj/calpha needs --max-label")
@@ -355,45 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact recoupling coefficients for symmetric irreps of SO(n) "
         "and antisymmetric irreps of Sp(2n). Labels follow '--' in the order a b e d c f.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sixj", help="full 6j-symbol {a b e; d c f}")
-    p.add_argument("--n", required=True)
-    p.add_argument("--method", default="auto", choices=("auto",) + METHODS + FACTORIAL_METHODS)
-    p.add_argument("--allow-n3", action="store_true")
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_value)
-
-    p = sub.add_parser("calpha", help="normalization-free core coefficient")
-    p.add_argument("--n", required=True)
-    p.add_argument("--method", default="A", choices=METHODS + FACTORIAL_METHODS)
-    p.add_argument("--allow-n3", action="store_true")
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_value)
-
-    p = sub.add_parser("threej", help="3j-symbol with zero projections")
-    p.add_argument("--n", required=True)
-    p.add_argument("--allow-n3", action="store_true")
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_threej)
-
-    p = sub.add_parser("dim", help="dimension of the symmetric irrep l of SO(n)")
-    p.add_argument("--n", required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_dim)
-
-    p = sub.add_parser("sp_dim", help="dimension of the single-column irrep of Sp(2n)")
-    p.add_argument("--n", required=True)
-    p.add_argument("--nu", type=int, required=True)
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_sp_dim)
-
-    p = sub.add_parser("sp_u", help="symplectic recoupling coefficient")
-    p.add_argument("--n", required=True)
-    p.add_argument("--method", default="a", choices=SP_METHODS)
-    _add_format_flags(p)
-    p.set_defaults(handler=_cmd_value)
+    for kind, query in QUERIES.items():
+        p = sub.add_parser(kind, help=query.help)
+        p.add_argument("--n", required=True)
+        if isinstance(query.labels, str):
+            p.add_argument(f"--{query.labels}", type=int, required=True)
+        if query.methods:
+            p.add_argument("--method", choices=query.methods)
+        if query.allow_n3:
+            p.add_argument("--allow-n3", action="store_true")
+        _add_format_flags(p)
+        p.set_defaults(handler=_cmd_query, method="auto", allow_n3=False)
 
     p = sub.add_parser("orbit", help="all label sets sharing the same value")
     p.add_argument("--n", required=True)
@@ -409,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate every admissible label set in range")
-    p.add_argument("--kind", dest="kind_inner", default="sixj", choices=("sixj", "calpha", "sp_u"))
+    p.add_argument("--kind", default="sixj", choices=tuple(k for k, q in QUERIES.items() if q.methods))
     p.add_argument("--n", required=True, help="n values, e.g. 4 or 4..6")
     p.add_argument("--max-label", type=int, default=None)
     p.add_argument("--method", default="auto")
@@ -438,8 +412,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help; pass both through
         return int(exc.code or 0)
-    if getattr(args, "kind_inner", None) is not None:
-        args.kind = args.kind_inner
     try:
         code = args.handler(args, labels)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit

@@ -36,7 +36,7 @@ class SixJLabels(NamedTuple):
 
     def replace_six(self, six: Iterable[int]) -> "SixJLabels":
         a, b, e, d, c, f = six
-        return SixJLabels(a, b, e, d, c, f, self.n)
+        return type(self)(a, b, e, d, c, f, self.n)
 
 
 TRIADS = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (4, 3, 2))  # indices into (a,b,e,d,c,f)

@@ -1,15 +1,18 @@
 """Independent even-n oracles for the SO(n) 6j symbol.
 
-Two routes that share nothing with the production evaluators:
+Two routes that reduce the symbol to SU(2) 6j coefficients:
 
 * ``sixj_via_su2_triple``: a single sum over products of three SU(2) 6j
   coefficients with shifted arguments.
 * ``sixj_via_su2_pair``: a single sum over products of two SU(2) 6j
   coefficients against a stretched-basis triangular factor.
 
-The SU(2) 6j itself is computed by the one-sum Racah formula.  All routes are
-exact; arguments become quarter-integers for odd n, so the oracles accept even
-n only.
+The SU(2) 6j itself is computed by the one-sum Racah formula.  The sums are the
+oracles' own, but not all of the arithmetic: the Racah formula's triangle factors,
+``_prefactor`` and each route's tail fill ``exact.FactoredProduct`` ledgers, as the
+production prefactors do; both routes divide by the production ``threej_zero``, and
+the pair route also multiplies by ``nabla_tilde_0356``.  All routes are exact;
+arguments become quarter-integers for odd n, so the oracles accept even n only.
 """
 from __future__ import annotations
 

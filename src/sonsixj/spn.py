@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .exact import FactoredProduct, SurdValue
 from .labels import RArray, SixJLabels, admissible, require_int_labels, shelepin
@@ -42,24 +42,10 @@ __all__ = [
 SP_METHODS = ("a", "b", "c")
 
 
-class SpLabels(NamedTuple):
+class SpLabels(SixJLabels):
     """Labels {a b e; d c f} of Sp(2n); each entry is a column height."""
 
-    a: int
-    b: int
-    e: int
-    d: int
-    c: int
-    f: int
-    n: int
-
-    @property
-    def six(self) -> tuple[int, int, int, int, int, int]:
-        return (self.a, self.b, self.e, self.d, self.c, self.f)
-
-    def replace_six(self, six) -> "SpLabels":
-        a, b, e, d, c, f = six
-        return SpLabels(a, b, e, d, c, f, self.n)
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -93,15 +79,11 @@ def _mul_dim_sp(fp: FactoredProduct, n: int, nu: int) -> FactoredProduct:
     return fp
 
 
-def _rarray(labels: SpLabels) -> RArray:
-    return shelepin(SixJLabels(*labels.six, labels.n))
-
-
 def _sp_array(labels: SpLabels) -> RArray | None:
     """The half-sum array of Sp-admissible labels, None for any other labels."""
     if not admissible(labels):
         return None
-    arr = _rarray(labels)
+    arr = shelepin(labels)
     return arr if max(arr.alpha) <= labels.n else None
 
 
@@ -199,7 +181,7 @@ def sp_symmetry_transform(labels: SpLabels) -> tuple[SpLabels, int]:
     the formula rather than hard-coded.
     """
     a, b, e, d, c, f = labels.six
-    arr = _rarray(labels)
+    arr = shelepin(labels)
     exponent = arr.beta[1] - arr.beta[0] + (b + c - e - f) // 2
     swapped = SpLabels(a, e, b, d, f, c, labels.n)
     return swapped, (-1 if exponent % 2 else 1)

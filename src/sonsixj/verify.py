@@ -226,7 +226,11 @@ def run_symmetry(
 def run_rationality(
     n_values: Sequence[int] = (5, 7, 9), max_label: int = 6
 ) -> SuiteReport:
-    """For odd n every core coefficient is exactly rational (no residual surd)."""
+    """For odd n every core coefficient is exactly rational (no residual surd).
+
+    An evaluator that raises an ArithmeticError is recorded as a mismatch, and the
+    suite goes on.
+    """
 
     def body(report: SuiteReport) -> None:
         sets = admissible_sets(max_label)
@@ -236,7 +240,11 @@ def run_rationality(
                 lab = SixJLabels(*six, n)
                 report.checks += 1
                 for method in ("A", "B", "C", "T3"):
-                    value = c_alpha(lab, method).value
+                    try:
+                        value = c_alpha(lab, method).value
+                    except ArithmeticError as exc:  # a residual sqrt(pi), say
+                        report.fail(f"{six} n={n} {method}: {type(exc).__name__}: {exc}")
+                        continue
                     if not isinstance(value, Fraction):
                         report.fail(f"{six} n={n} {method}: non-rational {value!r}")
 

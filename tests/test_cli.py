@@ -211,6 +211,34 @@ def test_cmd_verify_suite(capsys):
     assert out.startswith("suite sp:") and " ok " in out + " "
 
 
+def test_cmd_verify_rejects_a_flag_its_suite_does_not_take(capsys):
+    for argv, flag in ((["--suite", "so4", "--n", "5"], "--n"),
+                       (["--suite", "sp", "--n", "1", "--max-label", "2"], "--max-label"),
+                       (["--suite", "oracles", "--seed", "3"], "--seed")):
+        code = main(["verify", *argv])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"error: verify --suite {argv[1]} does not take {flag}\n"
+    # each suite of `all` takes only the flags it accepts (at labels <= 1 the oracles
+    # suite reports that its injected sign changed nothing, so the exit code is 1)
+    code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "4", "--max-label", "1",
+                                 "--count", "2", "--seed", "3"])
+    summaries = [line for line in out.splitlines() if line.startswith("suite ")]
+    assert code != 2 and [line.split(":")[0] for line in summaries] == [f"suite {s}" for s in cli.SUITES]
+    assert "suite so4: 2 checks" in out and "suite cross-formula: 8 checks" in out
+
+
+@pytest.mark.parametrize("digits, code", [("0", 2), ("10000", 0), ("10001", 2)])
+def test_cmd_digits_bounded(capsys, digits, code):
+    got = main(["threej", "--n", "6", "--format", "decimal", "--digits", digits, "--", "2", "2", "0"])
+    out, err = capsys.readouterr()
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"error: --digits must be in 1..10000, got {digits}\n")
+    else:
+        assert out.startswith("0.22360679774997896964") and len(out.strip()) == 2 + 10_000
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -326,11 +354,12 @@ def test_sweep_method_auto_per_kind(capsys):
 
 @pytest.mark.parametrize("kind, n, six, methods", [
     ("sixj", "5", (2, 2, 2, 2, 2, 2), [("auto", "auto")]),
-    ("calpha", "5", (2, 2, 2, 2, 2, 2), [(None, "auto"), ("B", "B")]),
-    ("sp_u", "2", (1, 1, 2, 1, 1, 2), [(None, "auto"), ("c", "c")]),
+    ("calpha", "5", (2, 2, 2, 2, 2, 2), [(None, "auto"), ("auto", "auto"), ("B", "B")]),
+    ("sp_u", "2", (1, 1, 2, 1, 1, 2), [(None, "auto"), ("auto", "auto"), ("c", "c")]),
 ])
 def test_single_json_query_equals_its_sweep_row(capsys, kind, n, six, methods):
-    """One query and the sweep build a row by the same path; None is the query's default."""
+    """One query and the sweep build a row by the same path; None is the query's default,
+    so a single query's --method auto prints what its default prints."""
     labels = [str(x) for x in six]
     for single, swept in methods:
         flags = [] if single is None else ["--method", single]

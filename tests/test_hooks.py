@@ -1,6 +1,8 @@
 """The module attributes perfbench/tracing.py replaces to time each layer."""
 
+import contextlib
 import importlib
+import io
 
 import pytest
 
@@ -60,3 +62,28 @@ def test_u_sp_calls_module_level_double_sum(monkeypatch):
     assert len(calls) == 1
     assert spn_mod.u_sp(SpLabels(0, 0, 0, 2, 2, 2, 1)).value.is_zero()  # inadmissible
     assert len(calls) == 1
+
+
+def test_cli_calls_module_level_sixj_and_renderers(monkeypatch):
+    cli_mod = importlib.import_module("sonsixj.cli")
+    names = HOOKS["cli"]
+    calls = {name: 0 for name in names}
+
+    def counting(name):
+        original = getattr(cli_mod, name)
+
+        def stand_in(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return stand_in
+
+    for name in names:
+        monkeypatch.setattr(cli_mod, name, counting(name))
+    for argv in (["sixj", "--n", "6", "--format", "json", "--", "2", "2", "2", "2", "2", "2"],
+                 ["sweep", "--n", "4", "--max-label", "0"]):
+        before = dict(calls)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli_mod.main(argv) == 0
+        assert len(out.getvalue().splitlines()) == 1
+        assert {name: calls[name] - before[name] for name in names} == dict.fromkeys(names, 1), argv
