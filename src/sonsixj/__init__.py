@@ -9,15 +9,10 @@ recoupling for Sp(2n).
 from __future__ import annotations
 
 from .exact import (
-    Fraction,
-    GammaExact,
     PoleError,
     RadicandMismatchError,
     ResidualSqrtPiError,
     SurdValue,
-    gamma_exact,
-    gamma_ratio_product,
-    pochhammer,
     surd_normalize,
 )
 from .kdf import KdFParams, kdf_c_alpha, kdf_eval, kdf_params_for
@@ -28,15 +23,10 @@ from .spn import SpLabels, SpU, dim_sp, sp_renormalized, sp_symmetry_transform, 
 from .verify import SuiteReport, run_suite
 
 __all__ = [
-    "Fraction",
-    "GammaExact",
     "PoleError",
     "RadicandMismatchError",
     "ResidualSqrtPiError",
     "SurdValue",
-    "gamma_exact",
-    "gamma_ratio_product",
-    "pochhammer",
     "surd_normalize",
     "RArray",
     "SixJLabels",

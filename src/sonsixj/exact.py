@@ -1,12 +1,13 @@
-"""Exact arithmetic kernel: gamma values, Pochhammer symbols, surds, factored products.
+"""Exact arithmetic kernel: gamma values, surds, factored products.
 
-Every quantity in this package is exact.  The value domain is built from three layers:
+Every quantity in this package is exact.  The value domain is built from two layers:
 
 * ``Fraction`` for plain rationals (half-integers are Fractions with denominator <= 2),
-* ``GammaExact`` for rationals times an integer power of sqrt(pi),
 * ``SurdValue`` for rationals times the square root of a squarefree integer.
 
-Two layers form products of Gamma values, and each serves one side:
+Gamma values at half-integer points carry a power of sqrt(pi), which must cancel
+before a value joins either layer.  Two APIs form products of them, and each serves
+one side:
 
 * ``FactoredProduct`` is the production ledger.  The prefactors of the core
   coefficient, the scalar 3j symbol, the assembly of the 6j symbol and the Sp(2n)
@@ -19,8 +20,6 @@ Two layers form products of Gamma values, and each serves one side:
   denominator and sqrt(pi) parity, so a check series multiplies integers and makes one
   Fraction per term.  ``gamma_ratio_doubled`` forms ratios from it; Gamma values at
   nonpositive integers are resolved there by a common epsilon shift of every argument.
-  ``gamma_exact``, ``gamma_ratio_product`` and ``GammaExact`` are the same values in
-  Fraction form, with half-integer arguments.
 """
 from __future__ import annotations
 
@@ -45,52 +44,9 @@ class RadicandMismatchError(ArithmeticError):
     """Surd addition was attempted across different radicands."""
 
 
-def is_half_integer(x: Fraction | int) -> bool:
-    """True when 2*x is an integer."""
-    return (2 * Fraction(x)).denominator == 1
-
-
 # ---------------------------------------------------------------------------
 # gamma at half-integer arguments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaExact:
-    """Exact value coeff * sqrt(pi)**sqrtpi_exp with rational coeff."""
-
-    coeff: Fraction
-    sqrtpi_exp: int = 0
-
-    def __post_init__(self) -> None:
-        if self.coeff == 0:
-            object.__setattr__(self, "sqrtpi_exp", 0)
-
-    def __mul__(self, other: "GammaExact | Fraction | int") -> "GammaExact":
-        if isinstance(other, GammaExact):
-            return GammaExact(self.coeff * other.coeff, self.sqrtpi_exp + other.sqrtpi_exp)
-        return GammaExact(self.coeff * other, self.sqrtpi_exp)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "GammaExact | Fraction | int") -> "GammaExact":
-        if isinstance(other, GammaExact):
-            if other.coeff == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return GammaExact(self.coeff / other.coeff, self.sqrtpi_exp - other.sqrtpi_exp)
-        return GammaExact(self.coeff / other, self.sqrtpi_exp)
-
-    def __neg__(self) -> "GammaExact":
-        return GammaExact(-self.coeff, self.sqrtpi_exp)
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def to_rational(self) -> Fraction:
-        """The value as a Fraction; raises if sqrt(pi) did not cancel."""
-        if self.coeff != 0 and self.sqrtpi_exp != 0:
-            raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.sqrtpi_exp}")
-        return self.coeff
-
 
 @lru_cache(maxsize=4096)
 def gamma_doubled(two_x: int) -> tuple[int, int, int]:
@@ -113,30 +69,15 @@ def gamma_doubled(two_x: int) -> tuple[int, int, int]:
     return (-2) ** k, math.factorial(2 * k) // (math.factorial(k) << k), 1
 
 
-def gamma_exact(x: Fraction | int) -> GammaExact:
-    """Gamma(x) for half-integer x, exact.
-
-    Integer x >= 1 gives (x-1)!.  Half-odd x gives a rational multiple of sqrt(pi),
-    positive or negative argument alike.  Nonpositive integers raise PoleError.
-    """
-    num, den, pi_half = gamma_doubled(_doubled(x))
-    return GammaExact(Fraction(num, den), pi_half)
-
-
-def _doubled(x: Fraction | int) -> int:
-    """2 * x for a half-integer x; anything else raises ValueError."""
-    f = Fraction(x)
-    if f.denominator > 2:
-        raise ValueError(f"gamma_exact needs a half-integer argument, got {f}")
-    return 2 * f.numerator // f.denominator
-
-
 def gamma_ratio_doubled(numerators, denominators) -> tuple[int, int, int]:
     """prod Gamma(t/2) over numerators / prod Gamma(t/2) over denominators, t integers.
 
-    The value is num / den * sqrt(pi)**pi_half with den > 0, from ``gamma_doubled``,
-    and poles are resolved as ``gamma_ratio_product`` describes: an exact zero is
-    (0, 1, 0).
+    The value is num / den * sqrt(pi)**pi_half with den > 0, from ``gamma_doubled``.
+    Every argument is read as t/2 + eps for one common eps -> 0.  Even t <= 0 is a
+    pole: a surplus of poles among the denominators makes the ratio an exact zero,
+    (0, 1, 0), and a surplus among the numerators raises PoleError.  Equal counts
+    pair off, each pair contributing (-1)**(x - y) * y! / x! for numerator argument
+    -x against denominator argument -y; the result does not depend on the pairing.
     """
     num = den = 1
     pi_half = 0
@@ -168,33 +109,6 @@ def gamma_ratio_doubled(numerators, denominators) -> tuple[int, int, int]:
         num *= -math.factorial(y) if (x - y) % 2 else math.factorial(y)
         den *= math.factorial(x)
     return (-num, -den, pi_half) if den < 0 else (num, den, pi_half)
-
-
-def gamma_ratio_product(
-    numerators: "list[Fraction | int] | tuple",
-    denominators: "list[Fraction | int] | tuple",
-) -> GammaExact:
-    """prod Gamma(num_i) / prod Gamma(den_j) with one common epsilon shift.
-
-    Every argument is read as arg + eps for the same eps -> 0.  Nonpositive-integer
-    arguments are poles: a surplus of them in the denominator makes the ratio an exact 0,
-    a surplus in the numerator raises PoleError, and equal counts pair off, each pair
-    contributing (-1)**(x - y) * y! / x! for numerator argument -x against denominator
-    argument -y.  The result does not depend on how the poles are paired.
-    """
-    num, den, pi_half = gamma_ratio_doubled([_doubled(a) for a in numerators],
-                                            [_doubled(a) for a in denominators])
-    return GammaExact(Fraction(num, den), pi_half)
-
-
-def pochhammer(a: Fraction | int, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), exact; (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer needs k >= 0")
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from math import factorial
 from operator import mul
 
 from .exact import (
-    GammaExact,
     PoleError,
+    ResidualSqrtPiError,
     gamma_doubled,
     gamma_ratio_doubled,
 )
@@ -180,9 +180,12 @@ def _series_params(six: tuple[int, ...], n: int, variant: str) -> KdFParams:
                      halve(bp), halve(dp))
 
 
-def _prefactor(labels: SixJLabels, variant: str) -> GammaExact:
+def _prefactor(labels: SixJLabels, variant: str) -> Fraction:
     """The variant's prefactor; factorials take plain integers, and every Gamma
-    argument is doubled (upper-case names, h(X) = X + n - 2 is 2 (x + tau))."""
+    argument is doubled (upper-case names, h(X) = X + n - 2 is 2 (x + tau)).
+
+    The Gamma powers of sqrt(pi) must cancel; ResidualSqrtPiError if they do not.
+    """
     n = labels.n
     arr = shelepin(labels)
     r = arr.r
@@ -254,16 +257,18 @@ def _prefactor(labels: SixJLabels, variant: str) -> GammaExact:
             raise IndefinitePrefactorError(f"gamma at {t // 2} in variant {variant} prefactor")
     num, den, pi_half = gamma_ratio_doubled(gnums, gdens)
     half_num, half_den, half_pi = gamma_doubled(n)  # Gamma(n/2), cubed below
+    if pi_half != 3 * half_pi:
+        raise ResidualSqrtPiError(f"residual sqrt(pi)**{pi_half - 3 * half_pi}")
     num *= half_den**3
     den *= half_num**3 * factorial(n - 3)
     for v in fnums:
         num *= factorial(v)
     for v in fdens:
         den *= factorial(v)
-    return GammaExact(Fraction(-num if sgn_exp % 2 else num, den), pi_half - 3 * half_pi)
+    return Fraction(-num if sgn_exp % 2 else num, den)
 
 
-def kdf_params_for(labels: SixJLabels, variant: str) -> tuple[KdFParams, GammaExact]:
+def kdf_params_for(labels: SixJLabels, variant: str) -> tuple[KdFParams, Fraction]:
     """Series parameters and prefactor for one of the six parameterizations."""
     if not admissible(labels):
         raise ValueError(f"labels {labels} not admissible")
@@ -280,7 +285,7 @@ def kdf_c_alpha(labels: SixJLabels, variant: str) -> Fraction:
     prod = 1
     for x in labels.six:
         prod *= 2 * x + n - 2
-    return (pre * GammaExact(series)).to_rational() * Fraction(prod, 64)
+    return pre * series * Fraction(prod, 64)
 
 
 def check_balance(p: KdFParams, n: int | None = None) -> bool:

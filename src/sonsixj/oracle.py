@@ -23,7 +23,6 @@ from .exact import (
     FactoredProduct,
     SurdValue,
     gamma_ratio_doubled,
-    is_half_integer,
 )
 from .labels import SixJLabels, admissible, require_int_labels
 from .sixj import nabla_tilde_0356, threej_zero
@@ -35,7 +34,7 @@ def su2_6j(j1: HalfInt, j2: HalfInt, j3: HalfInt,
            j4: HalfInt, j5: HalfInt, j6: HalfInt) -> SurdValue:
     """SU(2) 6j coefficient by the Racah single-sum formula; 0 if not coupled."""
     js = [Fraction(j) for j in (j1, j2, j3, j4, j5, j6)]
-    if any(j < 0 or not is_half_integer(j) for j in js):
+    if any(j < 0 or (2 * j).denominator != 1 for j in js):
         raise ValueError(f"bad angular momenta {js}")
     return _su2_6j_doubled(*(int(2 * j) for j in js))
 

@@ -406,21 +406,6 @@ class MethodChoice(NamedTuple):
     variant: SixJLabels
 
 
-def predicted_terms(method: str, r11: int, r13: int, r31: int) -> int:
-    """Work estimate: the summation lattice size of the method (select_method inlines it)."""
-    if method == "StretchedE":
-        return 1
-    if method == "NearStretchedE":
-        return 2
-    if method == "A":
-        return (r11 + 1) * (r13 + 1)
-    if method in ("B", "C"):
-        return (r11 + 1) * (r31 + 1)
-    if method == "T3":
-        return (r11 + 1) * (r11 + 2) * (2 * r11 + 3) // 6
-    raise ValueError(f"unknown method {method}")
-
-
 def select_method(labels: SixJLabels) -> MethodChoice:
     """Cheapest (method, orbit variant) pair; deterministic tie-breaking.
 

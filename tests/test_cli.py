@@ -219,13 +219,24 @@ def test_cmd_verify_rejects_a_flag_its_suite_does_not_take(capsys):
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err == f"error: verify --suite {argv[1]} does not take {flag}\n"
-    # each suite of `all` takes only the flags it accepts (at labels <= 1 the oracles
-    # suite reports that its injected sign changed nothing, so the exit code is 1)
+    # each suite of `all` takes only the flags it accepts
     code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "4", "--max-label", "1",
                                  "--count", "2", "--seed", "3"])
     summaries = [line for line in out.splitlines() if line.startswith("suite ")]
-    assert code != 2 and [line.split(":")[0] for line in summaries] == [f"suite {s}" for s in cli.SUITES]
+    assert code == 0 and [line.split(":")[0] for line in summaries] == [f"suite {s}" for s in cli.SUITES]
     assert "suite so4: 2 checks" in out and "suite cross-formula: 8 checks" in out
+
+
+def test_cmd_verify_all_skips_a_suite_that_rejects_its_range(capsys):
+    code = main(["verify", "--suite", "oracles", "--n", "5", "--max-label", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("error: oracle routes need even n")
+    code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "2,3", "--max-label", "1",
+                                 "--count", "2"])
+    summaries = [line for line in out.splitlines() if line.startswith("suite ")]
+    assert code == 0 and len(summaries) == len(cli.SUITES)
+    assert "suite oracles: skipped (n = 2 unsupported" in out
+    assert "suite sp: " in out and "suite sp: skipped" not in out
 
 
 @pytest.mark.parametrize("digits, code", [("0", 2), ("10000", 0), ("10001", 2)])

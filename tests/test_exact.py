@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: gamma values, pochhammers, surds, factored products."""
+"""Exact arithmetic layer: gamma values, surds, factored products."""
 
 import math
 import sys
@@ -11,17 +11,13 @@ from hypothesis import given, strategies as st
 from sonsixj import exact
 from sonsixj.exact import (
     FactoredProduct,
-    GammaExact,
     PoleError,
     RadicandMismatchError,
     ResidualSqrtPiError,
     SurdValue,
     factor_int,
     gamma_doubled,
-    gamma_exact,
     gamma_ratio_doubled,
-    gamma_ratio_product,
-    pochhammer,
     primes_up_to,
     squarefree_decompose,
     surd_normalize,
@@ -29,64 +25,65 @@ from sonsixj.exact import (
 
 
 # ---------------------------------------------------------------------------
-# gamma at half-integer arguments
+# gamma at half-integer arguments, passed doubled: gamma_doubled(t) is Gamma(t/2)
 # ---------------------------------------------------------------------------
 
 def test_gamma_integer_values():
-    assert gamma_exact(1) == GammaExact(Fraction(1), 0)
-    assert gamma_exact(4) == GammaExact(Fraction(6), 0)
-    assert gamma_exact(7) == GammaExact(Fraction(720), 0)
+    assert gamma_doubled(2) == (1, 1, 0)
+    assert gamma_doubled(8) == (6, 1, 0)
+    assert gamma_doubled(14) == (720, 1, 0)
 
 
 def test_gamma_half_integer_values():
-    assert gamma_exact(Fraction(1, 2)) == GammaExact(Fraction(1), 1)
-    assert gamma_exact(Fraction(7, 2)) == GammaExact(Fraction(15, 8), 1)
-    assert gamma_exact(Fraction(-1, 2)) == GammaExact(Fraction(-2), 1)
-    assert gamma_exact(Fraction(-3, 2)) == GammaExact(Fraction(4, 3), 1)
+    assert gamma_doubled(1) == (1, 1, 1)
+    assert gamma_doubled(7) == (15, 8, 1)
+    assert gamma_doubled(-1) == (-2, 1, 1)
+    assert gamma_doubled(-3) == (4, 3, 1)
 
 
 def test_gamma_pole_raises():
-    with pytest.raises(PoleError):
-        gamma_exact(0)
-    with pytest.raises(PoleError):
-        gamma_exact(-3)
+    for t in (0, -6):
+        with pytest.raises(PoleError):
+            gamma_doubled(t)
+        with pytest.raises(PoleError):
+            gamma_ratio_doubled([t], [2])
 
 
 def test_gamma_residual_sqrtpi_raises():
     with pytest.raises(ResidualSqrtPiError):
-        gamma_exact(Fraction(1, 2)).to_rational()
-    assert gamma_exact(3).to_rational() == 2
+        FactoredProduct().mul_gamma(1).to_fraction()
+    assert FactoredProduct().mul_gamma(6).to_fraction() == 2
 
 
 @given(st.integers(min_value=-19, max_value=19).filter(lambda m: m % 2 or m > 0))
 def test_gamma_recurrence(m):
-    # Gamma(x + 1) = x Gamma(x) away from the poles.
-    x = Fraction(m, 2)
-    lhs = gamma_exact(x + 1)
-    rhs = gamma_exact(x) * x
-    assert lhs == rhs
+    # Gamma(x + 1) = x Gamma(x) away from the poles, x = m/2.
+    num, den, pi_half = gamma_doubled(m + 2)
+    num0, den0, pi_half0 = gamma_doubled(m)
+    assert pi_half == pi_half0
+    assert Fraction(num, den) == Fraction(num0, den0) * Fraction(m, 2)
 
 
-def _gamma_by_recurrence(t: int) -> GammaExact:
-    """Gamma(t/2) from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi) by x Gamma(x) = Gamma(x + 1)."""
+def _gamma_by_recurrence(t: int) -> tuple[Fraction, int]:
+    """Gamma(t/2) as (coefficient, pi_half), from Gamma(1) = 1 and Gamma(1/2) = sqrt(pi)
+    by x Gamma(x) = Gamma(x + 1)."""
     odd = t % 2
     x = Fraction(1, 2) if odd else Fraction(1)
-    value = GammaExact(Fraction(1), odd)
+    value = Fraction(1)
     while 2 * x < t:
-        value = value * x
+        value *= x
         x += 1
     while 2 * x > t:
         x -= 1
-        value = value / x
-    return value
+        value /= x
+    return value, odd
 
 
 @pytest.mark.parametrize("t", [t for t in range(-81, 82) if t > 0 or t % 2])
 def test_gamma_doubled_matches_gamma_exact(t):
     num, den, pi_half = gamma_doubled(t)
     assert den > 0 and math.gcd(num, den) == 1 and pi_half == t % 2
-    assert GammaExact(Fraction(num, den), pi_half) == gamma_exact(Fraction(t, 2))
-    assert GammaExact(Fraction(num, den), pi_half) == _gamma_by_recurrence(t)
+    assert (Fraction(num, den), pi_half) == _gamma_by_recurrence(t)
 
 
 @pytest.mark.parametrize("t", range(-80, 1, 2))
@@ -95,13 +92,39 @@ def test_gamma_doubled_poles_raise(t):
         gamma_doubled(t)
 
 
+def _ratio_by_residues(nums, dens) -> tuple[Fraction, int]:
+    """The Gamma ratio from ``_gamma_by_recurrence``, each argument shifted by one eps.
+
+    At a pole Gamma(-x + eps) = (-1)**x / (x! eps); the powers of eps must cancel or
+    leave eps in the numerator, which makes the ratio zero.
+    """
+    value, pi_half, eps = Fraction(1), 0, 0
+    for ts, sign in ((nums, 1), (dens, -1)):
+        for t in ts:
+            if t <= 0 and t % 2 == 0:
+                g, p = Fraction((-1) ** (-t // 2), math.factorial(-t // 2)), 0
+                eps -= sign
+            else:
+                g, p = _gamma_by_recurrence(t)
+            value = value * g if sign > 0 else value / g
+            pi_half += sign * p
+    if eps < 0:
+        raise PoleError("unpaired pole")
+    return (Fraction(0), 0) if eps > 0 else (value, pi_half)
+
+
+def _ratio(nums, dens) -> tuple[Fraction, int]:
+    """``gamma_ratio_doubled`` as (coefficient, pi_half); its num / den need not be reduced."""
+    num, den, pi_half = gamma_ratio_doubled(nums, dens)
+    assert den > 0
+    return Fraction(num, den), pi_half
+
+
 def test_gamma_ratio_doubled_matches_gamma_ratio_product():
-    cases = [([5, -1], [3]), ([-4], [-2, 7]), ([2], [-2]), ([-3, 1], [-5, 9, 4])]
+    cases = [([5, -1], [3]), ([-4], [-2, 7]), ([2], [-2]), ([-3, 1], [-5, 9, 4]),
+             ([-2, -8, 3], [-4, -6]), ([-8, 7], [-4, -2, 1]), ([-6, -6], [-2, -10])]
     for nums, dens in cases:
-        num, den, pi_half = gamma_ratio_doubled(nums, dens)
-        assert den > 0
-        want = gamma_ratio_product([Fraction(t, 2) for t in nums], [Fraction(t, 2) for t in dens])
-        assert GammaExact(Fraction(num, den), pi_half) == want
+        assert _ratio(nums, dens) == _ratio_by_residues(nums, dens), (nums, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -110,28 +133,26 @@ def test_gamma_ratio_doubled_matches_gamma_ratio_product():
 
 def test_gamma_ratio_pole_pair():
     # one numerator pole against one denominator pole: (-1)**(x-y) * y!/x!
-    assert gamma_ratio_product([-2], [-4]).to_rational() == 12
-    assert gamma_ratio_product([-4], [-2]).to_rational() == Fraction(1, 12)
-    assert gamma_ratio_product([-1], [-2]) == GammaExact(Fraction(-2), 0)
+    assert _ratio([-4], [-8]) == (12, 0)
+    assert _ratio([-8], [-4]) == (Fraction(1, 12), 0)
+    assert _ratio([-2], [-4]) == (-2, 0)
 
 
 def test_gamma_ratio_pole_surplus():
     # extra denominator pole kills the product; extra numerator pole is an error
-    assert gamma_ratio_product([1], [-3]).is_zero()
+    assert gamma_ratio_doubled([2], [-6]) == (0, 1, 0)
     with pytest.raises(PoleError):
-        gamma_ratio_product([-3], [1])
+        gamma_ratio_doubled([-6], [2])
 
 
 def test_gamma_ratio_pairing_independence():
     # two poles on each side: value must not depend on who pairs with whom
-    v = gamma_ratio_product([-1, -4], [-2, -3]).to_rational()
-    assert v == Fraction(1, 2)
-    assert gamma_ratio_product([-4, -1], [-3, -2]).to_rational() == v
+    assert _ratio([-2, -8], [-4, -6]) == (Fraction(1, 2), 0)
+    assert _ratio([-8, -2], [-6, -4]) == (Fraction(1, 2), 0)
 
 
 def test_gamma_ratio_mixed_regular_and_poles():
-    v = gamma_ratio_product([Fraction(7, 2), -2], [Fraction(1, 2), -4])
-    assert v.to_rational() == Fraction(15, 8) * 12
+    assert _ratio([7, -4], [1, -8]) == (Fraction(15, 8) * 12, 0)
 
 
 @given(
@@ -139,20 +160,16 @@ def test_gamma_ratio_mixed_regular_and_poles():
     st.integers(min_value=0, max_value=10),
 )
 def test_pochhammer_as_gamma_ratio(m, k):
-    a = Fraction(m, 2)
-    assert gamma_ratio_product([a + k], [a]).to_rational() == pochhammer(a, k)
+    # (a)_k = Gamma(a + k) / Gamma(a) at a = m/2
+    assert _ratio([m + 2 * k], [m]) == (math.prod(Fraction(m, 2) + i for i in range(k)), 0)
 
-
-# ---------------------------------------------------------------------------
-# pochhammer variants
-# ---------------------------------------------------------------------------
 
 def test_pochhammer_values():
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-    assert pochhammer(5, 0) == 1
-    assert pochhammer(-3, 5) == 0
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
+    assert _ratio([7], [1]) == (Fraction(15, 8), 0)  # (1/2)_3
+    assert _ratio([10], [10]) == (1, 0)  # (5)_0
+    assert _ratio([4], [-6]) == (0, 0)  # (-3)_5
+    with pytest.raises(PoleError):
+        gamma_ratio_doubled([0], [2])  # (1)_-1 = Gamma(0) / Gamma(1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +300,10 @@ def test_factored_product_factorial_ratio():
 def test_factored_product_gamma_matches_gamma_exact(e):
     for two_x in range(1, 81):
         fp = FactoredProduct().mul_gamma(two_x, e)
-        expected = GammaExact(Fraction(1))
-        for _ in range(abs(e)):
-            g = gamma_exact(Fraction(two_x, 2))
-            expected = expected * g if e > 0 else expected / g
-        assert fp.pi_half == expected.sqrtpi_exp, two_x
+        num, den, pi_half = gamma_doubled(two_x)
+        assert fp.pi_half == pi_half * e, two_x
         fp.mul_gamma(1, -fp.pi_half)  # Gamma(1/2) = sqrt(pi)
-        assert fp.to_fraction() == expected.coeff, two_x
+        assert fp.to_fraction() == Fraction(num, den) ** e, two_x
 
 
 def test_factored_product_rejects_nonpositive_factors():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from sonsixj.exact import PoleError
+from sonsixj import kdf
+from sonsixj.exact import PoleError, ResidualSqrtPiError
 from sonsixj.kdf import (
     DEPENDENCY_FAMILY,
     VARIANTS,
@@ -17,9 +18,8 @@ from sonsixj.kdf import (
     kdf_eval,
     kdf_params_for,
 )
-from sonsixj.labels import SixJLabels
+from sonsixj.labels import SixJLabels, admissible_sixes
 from sonsixj.sixj import c_alpha
-from sonsixj.verify import admissible_sets
 
 
 def naive_eval(p: KdFParams) -> Fraction:
@@ -109,7 +109,7 @@ def test_eval_denominator_pole_raises():
 
 
 def test_variants_reproduce_core_coefficient():
-    for six in admissible_sets(2):
+    for six in admissible_sixes(2):
         for n in (4, 6):
             lab = SixJLabels(*six, n)
             ref = c_alpha(lab, "A").value
@@ -122,7 +122,7 @@ def test_variants_reproduce_core_coefficient():
 
 
 def test_params_balance_and_dependencies():
-    for six in admissible_sets(2)[::2]:
+    for six in list(admissible_sixes(2))[::2]:
         lab = SixJLabels(*six, 6)
         for variant in VARIANTS:
             try:
@@ -144,6 +144,14 @@ def test_undefined_prefactor_skip_case():
         kdf_params_for(lab, "3a")
     # sibling variants on the same labels still exist and reproduce the core
     assert kdf_c_alpha(lab, "1a") == c_alpha(lab, "A").value
+
+
+def test_prefactor_with_residual_sqrt_pi_raises(monkeypatch):
+    lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
+    assert isinstance(kdf_params_for(lab, "1a")[1], Fraction)
+    monkeypatch.setattr(kdf, "gamma_ratio_doubled", lambda nums, dens: (1, 1, 1))
+    with pytest.raises(ResidualSqrtPiError):
+        kdf_params_for(lab, "1a")
 
 
 def test_params_for_inadmissible_raises():

@@ -1,15 +1,20 @@
 """The shared double-series kernel against arithmetic that does not go through it."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sonsixj.exact import pochhammer
 from sonsixj.labels import SixJLabels, shelepin, triangle_ok
 from sonsixj.series import _rows, series_table
 from sonsixj.sixj import c_alpha
 from sonsixj.spn import SP_METHODS, SpLabels, sp_admissible, u_sp
+
+
+def pochhammer(a, k: int) -> Fraction:
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
+    return prod((a + i for i in range(k)), start=Fraction(1))
 
 
 def _triad_partner(draw, x, y, top):

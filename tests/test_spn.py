@@ -8,7 +8,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
-from sonsixj.exact import SurdValue, pochhammer, surd_normalize
+from sonsixj.exact import SurdValue, surd_normalize
 from sonsixj.labels import TRIADS, SixJLabels, admissible_sixes, shelepin
 from sonsixj.oracle import su2_6j
 from sonsixj.spn import (
@@ -123,6 +123,11 @@ def test_methods_agree_sampled_rank_three():
         ref = u_sp(lab, "a").value
         assert u_sp(lab, "b").value == ref, lab
         assert u_sp(lab, "c").value == ref, lab
+
+
+def pochhammer(a, k: int) -> Fraction:
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
+    return prod((a + i for i in range(k)), start=Fraction(1))
 
 
 def _so_series_terms(arr, tau, rank, method):
