@@ -43,7 +43,7 @@ from .exact import SurdValue, surd_normalize
 from .labels import SixJLabels, admissible_sixes, symmetry_orbit
 from .sixj import METHODS, FACTORIAL_METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
-from .verify import SUITES, run_suite
+from .verify import SUITES, SuiteRangeError, run_suite
 
 DEFAULT_DIGITS = 16
 MAX_N_VALUES = 10_000  # most n values one --n may expand to
@@ -266,7 +266,7 @@ def _cmd_verify(args, labels: list[int]) -> int:
             raise MalformedQuery(f"verify --suite {name} does not take --{foreign.replace('_', '-')}")
         try:
             report = run_suite(name, **kwargs)
-        except ValueError as exc:  # one suite's range rule, say oracles' even n
+        except SuiteRangeError as exc:  # raised before the suite checks anything
             if args.suite != "all":
                 raise
             print(f"suite {name}: skipped ({exc})")

@@ -74,8 +74,8 @@ def _su2_6j_doubled(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> Sur
     return fp.sqrt_surd() * Fraction(total, den)
 
 
-def _check_even_n(labels: SixJLabels) -> None:
-    if labels.n % 2:
+def require_even_n(n: int) -> None:
+    if n % 2:
         raise ValueError("oracle routes need even n (quarter-integer arguments otherwise)")
 
 
@@ -94,7 +94,7 @@ def _prefactor(labels: SixJLabels) -> SurdValue:
 def sixj_via_su2_triple(labels: SixJLabels) -> SurdValue:
     """Oracle: single sum over three SU(2) 6j coefficients (even n)."""
     require_int_labels(labels)
-    _check_even_n(labels)
+    require_even_n(labels.n)
     if not admissible(labels):
         return SurdValue.zero()
     a, b, e, d, c, f = labels.six
@@ -130,7 +130,7 @@ def sixj_via_su2_pair(labels: SixJLabels, reinstate_phase: bool = False) -> Surd
     route; it exists so tests can confirm the comparison has teeth.
     """
     require_int_labels(labels)
-    _check_even_n(labels)
+    require_even_n(labels.n)
     if not admissible(labels):
         return SurdValue.zero()
     a, b, e, d, c, f = labels.six

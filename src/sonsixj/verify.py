@@ -27,7 +27,7 @@ from .kdf import (
     kdf_params_for,
 )
 from .labels import SixJLabels, admissible, admissible_sixes, shelepin, symmetry_orbit
-from .oracle import sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
+from .oracle import require_even_n, sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from .sixj import c_alpha, cache_clear, select_method, sixj
 from .spn import (
     SpLabels,
@@ -41,6 +41,7 @@ from .spn import (
 
 __all__ = [
     "SUITES",
+    "SuiteRangeError",
     "SuiteReport",
     "run_cross_formula",
     "run_kdf",
@@ -59,6 +60,10 @@ ALL_EVALUATORS = ("A", "B", "C", "T3", "AFactorial", "BFactorial", "CFactorial")
 # ratio of an SO(4) 6j-symbol to the squared spin-half-label 6j-symbol,
 # measured on the smallest nonzero case (the all-zero labels) and frozen
 SO4_RATIO = Fraction(1)
+
+
+class SuiteRangeError(ValueError):
+    """A suite does not take its range; raised before the suite runs any check."""
 
 
 @dataclass
@@ -90,7 +95,10 @@ class SuiteReport:
 
 
 def random_admissible(rng: random.Random, n: int, max_label: int) -> SixJLabels:
-    """One admissible label set drawn with rejection sampling."""
+    """One admissible label set drawn with rejection sampling.
+
+    ``_drawable_count`` counts what this draw can return; change the two together.
+    """
     while True:
         a = rng.randrange(0, max_label + 1)
         b = rng.randrange(0, max_label + 1)
@@ -163,6 +171,11 @@ def run_oracles(n_values: Sequence[int] = (4, 6, 8), max_label: int = 4) -> Suit
     The sign can only matter at some n >= 6 with labels >= 1: at n = 4 and at
     labels <= 0 the route's sum has one nonzero term, so elsewhere it is noted.
     """
+    try:
+        for n in n_values:
+            require_even_n(n)
+    except ValueError as exc:
+        raise SuiteRangeError(str(exc)) from None
 
     def body(report: SuiteReport) -> None:
         sets = list(admissible_sixes(max_label))
@@ -209,10 +222,7 @@ def run_symmetry(
         rng = random.Random(seed)
         seen: set[tuple[int, ...]] = set()
         orbits = 0
-        draws = len(set(n_values))
-        target = count
-        if count > (max_label + 1) ** 2 * draws:  # at least that many are always there
-            target = min(count, _drawable_count(max_label) * draws)
+        target = min(count, _drawable_count(max_label) * len(set(n_values)))
         while orbits < target:
             n = rng.choice(list(n_values))
             lab = random_admissible(rng, n, max_label)

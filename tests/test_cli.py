@@ -231,12 +231,27 @@ def test_cmd_verify_all_skips_a_suite_that_rejects_its_range(capsys):
     code = main(["verify", "--suite", "oracles", "--n", "5", "--max-label", "1"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "") and err.startswith("error: oracle routes need even n")
-    code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "2,3", "--max-label", "1",
+    code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "4,5", "--max-label", "1",
                                  "--count", "2"])
     summaries = [line for line in out.splitlines() if line.startswith("suite ")]
     assert code == 0 and len(summaries) == len(cli.SUITES)
-    assert "suite oracles: skipped (n = 2 unsupported" in out
+    assert "suite oracles: skipped (oracle routes need even n" in out
     assert "suite sp: " in out and "suite sp: skipped" not in out
+
+
+def test_cmd_verify_all_exits_2_when_a_suite_raises_after_a_mismatch(capsys, monkeypatch):
+    verify_mod = importlib.import_module("sonsixj.verify")
+
+    def triple(lab):
+        if lab.n == 4:
+            return SurdValue.zero()  # a mismatch wherever the 6j-symbol is nonzero
+        raise ValueError("raised mid-suite")
+
+    monkeypatch.setattr(verify_mod, "sixj_via_su2_triple", triple)
+    code = main(["verify", "--suite", "all", "--n", "4,6", "--max-label", "1", "--count", "2"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (2, "error: raised mid-suite\n")
+    assert "suite cross-formula: " in out and "suite oracles" not in out
 
 
 @pytest.mark.parametrize("digits, code", [("0", 2), ("10000", 0), ("10001", 2)])

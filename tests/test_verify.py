@@ -3,8 +3,8 @@
 import importlib
 
 from sonsixj.exact import ResidualSqrtPiError
-from sonsixj.labels import admissible_sixes
-from sonsixj.verify import run_oracles, run_rationality, run_symmetry
+from sonsixj.labels import SixJLabels, admissible, admissible_sixes
+from sonsixj.verify import _drawable_count, run_oracles, run_rationality, run_symmetry
 
 
 def test_rationality_records_an_evaluator_error_and_goes_on(monkeypatch):
@@ -20,6 +20,17 @@ def test_rationality_records_an_evaluator_error_and_goes_on(monkeypatch):
     assert report.checks == 2 * len(list(admissible_sixes(1)))  # every set at every n was checked
     assert report.mismatches[0] == "(0, 0, 0, 0, 0, 0) n=5 T3: ResidualSqrtPiError: residual sqrt(pi)**1"
     assert all(" T3: " in line for line in report.mismatches[:-1])
+
+
+def test_drawable_count_is_the_support_of_the_draw():
+    # random_admissible draws a, b, c, f <= L, and e, d from their triads (e <= 2L, d <= 3L)
+    for top in (0, 1, 2):
+        support = sum(
+            admissible(SixJLabels(a, b, e, d, c, f, 4))
+            for a in range(top + 1) for b in range(top + 1) for c in range(top + 1)
+            for f in range(top + 1) for e in range(2 * top + 1) for d in range(3 * top + 1)
+        )
+        assert _drawable_count(top) == support
 
 
 def test_symmetry_stops_once_a_small_range_is_drawn():
