@@ -11,9 +11,10 @@ one side:
 
 * ``FactoredProduct`` is the production ledger.  The prefactors of the core
   coefficient, the scalar 3j symbol, the assembly of the 6j symbol and the Sp(2n)
-  coefficient (with its dimensions and normalization) each fill one,
-  as prime exponents with Gamma arguments passed as doubled positive integers, and
-  expand it once, as a Fraction or as an exact square root.
+  coefficient (with its dimensions and normalization) each fill one with factorials
+  and Gamma values (arguments passed doubled, as positive integers), kept as the prime
+  exponents of factorials, and expand it once, as a Fraction or as an exact square
+  root.  It never factors an integer.
 * ``gamma_doubled`` serves only the check paths (``T3``, the factorial forms, the KdF
   series and the SU(2) oracles), so those share no arithmetic with production.  It is
   a bounded cache of Gamma(t/2) for integer t, returned as an integer numerator,
@@ -320,33 +321,23 @@ def _factorial_exponents(m: int) -> tuple[int, ...]:
 class FactoredProduct:
     """The production ledger: a positive exact product as prime exponents times sqrt(pi)**pi_half.
 
-    Integers, factorials and Gamma at half-integer points multiply in with any integer
+    Factorials and Gamma at half-integer points multiply in with any integer
     exponent, and only exponents change; nothing is expanded until ``to_fraction`` or
     ``sqrt_surd``.  A Gamma argument is passed doubled, as the positive integer two_x
-    of Gamma(two_x / 2).  A factor that is not positive raises: ``ValueError`` for an
-    integer, ``PoleError`` for a Gamma argument.
+    of Gamma(two_x / 2).  A factor that is not positive raises: ``ValueError`` for a
+    factorial, ``PoleError`` for a Gamma argument.  An integer joins as a ratio of
+    factorials, v = v! / (v - 1)!.
 
-    Factorials fill a dense list of exponents indexed by prime position, one vector
-    addition per factorial.  Integers are factored into a sparse dict that joins the
-    list only on expansion, so a large prime factor never grows the sieve.
+    The exponents sit in a dense list indexed by prime position, one vector addition
+    per factorial.
     """
 
-    __slots__ = ("exps", "top", "sparse", "pi_half")
+    __slots__ = ("exps", "top", "pi_half")
 
     def __init__(self) -> None:
         self.exps: list[int] = []  # exponent of the i-th prime, for the primes up to top
         self.top = 1
-        self.sparse: dict[int, int] = {}
         self.pi_half = 0
-
-    def mul_int(self, v: int, e: int = 1) -> "FactoredProduct":
-        """Multiply by v**e for an integer v >= 1 (factored by trial division)."""
-        if v < 1:
-            raise ValueError(f"the ledger takes positive integers, got {v}")
-        sparse = self.sparse
-        for p, k in factor_int(v).items():
-            sparse[p] = sparse.get(p, 0) + k * e
-        return self
 
     def mul_factorial(self, m: int, e: int = 1) -> "FactoredProduct":
         if m < 0:
@@ -380,18 +371,11 @@ class FactoredProduct:
         self.pi_half += e
         return self
 
-    def _exponents(self) -> dict[int, int]:
-        """Prime -> exponent, zeros included: the dense list with the sparse dict folded in."""
-        out = dict(zip(primes_up_to(self.top), self.exps))
-        for p, e in self.sparse.items():
-            out[p] = out.get(p, 0) + e
-        return out
-
     def to_fraction(self) -> Fraction:
         if self.pi_half != 0:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half}")
         num = den = 1
-        for p, e in self._exponents().items():
+        for p, e in zip(primes_up_to(self.top), self.exps):
             if e > 0:
                 num *= p**e
             elif e < 0:
@@ -404,7 +388,7 @@ class FactoredProduct:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half} under sqrt")
         cnum = cden = 1
         rad = 1
-        for p, e in self._exponents().items():
+        for p, e in zip(primes_up_to(self.top), self.exps):
             if e % 2:
                 # p**e = p**(e-1) * p, the stray p joins the radicand
                 rad *= p

@@ -87,7 +87,7 @@ def _prefactor(labels: SixJLabels) -> SurdValue:
         fp.mul_factorial(x)
         fp.mul_factorial(n - 2)
         fp.mul_factorial(x + n - 3, -1)
-    fp.mul_int(2, -3)
+    fp.mul_factorial(2, -3)  # 2**-3, as 2! = 2
     return fp.sqrt_surd()
 
 

@@ -109,7 +109,7 @@ def threej_zero(n: int, l1: int, l2: int, l3: int, allow_n3: bool = False) -> Su
         fp.mul_factorial(l + n - 3, -1)
         fp.mul_gamma(2 * (j - l) + n - 2)
         fp.mul_factorial(j - l, -1)
-    fp.mul_int(2, -3)
+    fp.mul_factorial(2, -3)  # 2**-3, as 2! = 2
     fp.mul_gamma(n, -2)
     return fp.sqrt_surd()
 

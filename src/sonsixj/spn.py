@@ -72,7 +72,9 @@ def dim_sp(n: int, nu: int) -> int:
 
 def _mul_dim_sp(fp: FactoredProduct, n: int, nu: int) -> FactoredProduct:
     """Multiply the ledger by dim_sp(n, nu) = 2 (n - nu + 1) (2n + 1)! / (nu! (2n - nu + 2)!)."""
-    fp.mul_int(2 * (n - nu + 1))
+    fp.mul_factorial(2)
+    fp.mul_factorial(n - nu + 1)
+    fp.mul_factorial(n - nu, -1)
     fp.mul_factorial(2 * n + 1)
     fp.mul_factorial(nu, -1)
     fp.mul_factorial(2 * n - nu + 2, -1)

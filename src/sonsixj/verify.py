@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
 from .exact import surd_normalize
@@ -95,43 +96,15 @@ class SuiteReport:
 
 
 def random_admissible(rng: random.Random, n: int, max_label: int) -> SixJLabels:
-    """One admissible label set drawn with rejection sampling.
+    """One label set drawn uniformly from the admissible sets with labels <= max_label.
 
-    ``_drawable_count`` counts what this draw can return; change the two together.
+    Six labels are drawn uniformly from 0..max_label until they are admissible, so
+    the draws range over exactly ``admissible_sixes(max_label)``.
     """
     while True:
-        a = rng.randrange(0, max_label + 1)
-        b = rng.randrange(0, max_label + 1)
-        e = rng.randrange(abs(a - b), a + b + 1, 2) if a + b else 0
-        c = rng.randrange(0, max_label + 1)
-        d = rng.randrange(abs(c - e), c + e + 1, 2) if c + e else 0
-        fs = [
-            f
-            for f in range(0, max_label + 1)
-            if admissible(SixJLabels(a, b, e, d, c, f, n))
-        ]
-        if fs:
-            return SixJLabels(a, b, e, d, c, rng.choice(fs), n)
-
-
-def _drawable_count(max_label: int) -> int:
-    """How many distinct label sets ``random_admissible`` can return, at any n.
-
-    It mirrors the draw: e and d run over their triangle ranges, which may pass
-    max_label, and f counts the values up to max_label that close both triads.
-    """
-    top = max_label + 1
-    total = 0
-    for a in range(top):
-        for b in range(top):
-            for e in range(abs(a - b), a + b + 1, 2):
-                for c in range(top):
-                    for d in range(abs(c - e), c + e + 1, 2):
-                        lo = max(abs(a - c), abs(b - d))
-                        hi = min(a + c, b + d, max_label)
-                        if (a + c + b + d) % 2 == 0 and lo <= hi:
-                            total += (hi - lo) // 2 + 1
-    return total
+        lab = SixJLabels(*(rng.randrange(max_label + 1) for _ in range(6)), n)
+        if admissible(lab):
+            return lab
 
 
 def _timed(fn: Callable[[SuiteReport], None], suite: str) -> SuiteReport:
@@ -222,7 +195,7 @@ def run_symmetry(
         rng = random.Random(seed)
         seen: set[tuple[int, ...]] = set()
         orbits = 0
-        target = min(count, _drawable_count(max_label) * len(set(n_values)))
+        target = min(count, len(list(islice(admissible_sixes(max_label), count))) * len(set(n_values)))
         while orbits < target:
             n = rng.choice(list(n_values))
             lab = random_admissible(rng, n, max_label)

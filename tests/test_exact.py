@@ -273,19 +273,18 @@ def test_surd_sign_abs_str():
 def test_factored_product_to_fraction():
     fp = FactoredProduct()
     fp.mul_factorial(5)
-    fp.mul_int(7, 2)
-    fp.mul_int(3)
-    fp.mul_int(2, -2)
+    fp.mul_factorial(7, 2).mul_factorial(6, -2)  # 7**2
+    fp.mul_factorial(3).mul_factorial(2, -1)  # 3
+    fp.mul_factorial(2, -2)  # 2**-2
     assert fp.to_fraction() == Fraction(120 * 49 * 3, 4)
 
 
 def test_factored_product_sqrt_surd():
     fp = FactoredProduct()
-    fp.mul_int(18)
+    fp.mul_factorial(3, 2).mul_factorial(2, -1)  # 3!**2 / 2 = 18
     assert fp.sqrt_surd() == surd_normalize(3, 2)
     fp2 = FactoredProduct()
-    fp2.mul_int(3, 2)
-    fp2.mul_int(2, -2)
+    fp2.mul_factorial(3, 2).mul_factorial(2, -4)  # 3**2 / 2**2
     assert fp2.sqrt_surd() == SurdValue.of_rational(Fraction(3, 2))
 
 
@@ -310,22 +309,11 @@ def test_factored_product_rejects_nonpositive_factors():
     for two_x in (0, -1, -2, -7):
         with pytest.raises(PoleError):
             FactoredProduct().mul_gamma(two_x)
-    for v in (0, -1, -6):
+    for m in (-1, -6):
         with pytest.raises(ValueError):
-            FactoredProduct().mul_int(v)
+            FactoredProduct().mul_factorial(m)
         with pytest.raises(ValueError):
-            FactoredProduct().mul_int(v, -1)
-
-
-def test_factored_product_large_int_factor_leaves_the_sieve():
-    # mul_int factors join the exponents only on expansion, so 1000003 grows no sieve
-    primes_up_to(1000)
-    bound = exact._SIEVE[0]
-    fp = FactoredProduct().mul_factorial(30).mul_int(2 * 1000003).mul_int(6, -1)
-    assert fp.to_fraction() == Fraction(math.factorial(30) * 2 * 1000003, 6)
-    fp.mul_int(1000003)
-    assert fp.sqrt_surd() == surd_normalize(1000003, Fraction(math.factorial(30), 3))
-    assert exact._SIEVE[0] == bound
+            FactoredProduct().mul_factorial(m, -1)
 
 
 def test_factored_products_in_threads_agree():
@@ -333,7 +321,7 @@ def test_factored_products_in_threads_agree():
         fp = FactoredProduct()
         for m in range(0, 400, 7):
             fp.mul_factorial(m, 1 if m % 2 else -2)
-            fp.mul_int(m + 1)
+            fp.mul_factorial(m + 1).mul_factorial(m, -1)
         fp.mul_gamma(301, 3).mul_gamma(1, -3)
         return fp.to_fraction(), fp.sqrt_surd()
 

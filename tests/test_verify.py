@@ -1,10 +1,11 @@
 """Verification suites: how a suite reports what goes wrong inside it."""
 
 import importlib
+import random
 
 from sonsixj.exact import ResidualSqrtPiError
-from sonsixj.labels import SixJLabels, admissible, admissible_sixes
-from sonsixj.verify import _drawable_count, run_oracles, run_rationality, run_symmetry
+from sonsixj.labels import admissible, admissible_sixes
+from sonsixj.verify import random_admissible, run_oracles, run_rationality, run_symmetry
 
 
 def test_rationality_records_an_evaluator_error_and_goes_on(monkeypatch):
@@ -22,22 +23,27 @@ def test_rationality_records_an_evaluator_error_and_goes_on(monkeypatch):
     assert all(" T3: " in line for line in report.mismatches[:-1])
 
 
-def test_drawable_count_is_the_support_of_the_draw():
-    # random_admissible draws a, b, c, f <= L, and e, d from their triads (e <= 2L, d <= 3L)
+def test_draws_keep_every_label_within_max_label():
+    rng = random.Random(20260819)  # the symmetry suite's seed
+    for _ in range(500):
+        lab = random_admissible(rng, 6, 10)
+        assert admissible(lab) and max(lab.six) <= 10, lab
+
+
+def test_draws_range_over_exactly_the_admissible_sets():
+    rng = random.Random(7)
     for top in (0, 1, 2):
-        support = sum(
-            admissible(SixJLabels(a, b, e, d, c, f, 4))
-            for a in range(top + 1) for b in range(top + 1) for c in range(top + 1)
-            for f in range(top + 1) for e in range(2 * top + 1) for d in range(3 * top + 1)
-        )
-        assert _drawable_count(top) == support
+        expected = set(admissible_sixes(top))
+        # 40 uniform draws per set miss a given set with probability below e**-39
+        drawn = {random_admissible(rng, 4, top).six for _ in range(40 * len(expected))}
+        assert drawn == expected, top
 
 
 def test_symmetry_stops_once_a_small_range_is_drawn():
-    # labels <= 1 at one n give 11 distinct draws, fewer than the 200 asked for
+    # labels <= 1 at one n give 8 admissible sets, fewer than the 200 asked for
     report = run_symmetry(max_label=1, n_values=(4,))
     assert report.ok
-    assert "11 orbits, every draw the range holds" in report.notes
+    assert "8 orbits, every draw the range holds" in report.notes
 
 
 def test_oracles_demand_the_injected_sign_only_where_it_can_matter(monkeypatch):
