@@ -15,12 +15,13 @@ one side:
   and Gamma values (arguments passed doubled, as positive integers), kept as the prime
   exponents of factorials, and expand it once, as a Fraction or as an exact square
   root.  It never factors an integer.
-* ``gamma_doubled`` serves only the check paths (``T3``, the factorial forms, the KdF
-  series and the SU(2) oracles), so those share no arithmetic with production.  It is
-  a bounded cache of Gamma(t/2) for integer t, returned as an integer numerator,
-  denominator and sqrt(pi) parity, so a check series multiplies integers and makes one
-  Fraction per term.  ``gamma_ratio_doubled`` forms ratios from it; Gamma values at
-  nonpositive integers are resolved there by a common epsilon shift of every argument.
+* ``gamma_ratio_doubled`` serves only the check paths: every Gamma and factorial
+  product of ``T3``, the factorial forms, the KdF prefactors and the SU(2) pair
+  route is one call, with a factorial v! passed as Gamma(v + 1), doubled 2v + 2.  It
+  multiplies integers from ``gamma_doubled``, a bounded cache of Gamma(t/2) for
+  integer t as an integer numerator, denominator and sqrt(pi) parity, so a check
+  series makes one Fraction per term.  It is the check paths' one pole rule: Gamma
+  at a nonpositive integer is resolved by a common epsilon shift of every argument.
 """
 from __future__ import annotations
 

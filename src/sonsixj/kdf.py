@@ -13,23 +13,17 @@ validates the linear dependencies between parameters, and checks the formal
 label-reflection maps that permute the six parameterizations.
 
 The arithmetic is its own: the parameters are formed as doubled integers, the
-series sums integer Pochhammer rows over one denominator, and the prefactors take
-Gamma values from ``exact.gamma_doubled``, never from the production ledger or
-``series``.
+series sums integer Pochhammer rows over one denominator, and each prefactor is
+one ``exact.gamma_ratio_doubled`` call over its Gamma and factorial arguments; none
+of it comes from the production ledger or ``series``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 from operator import mul
 
-from .exact import (
-    PoleError,
-    ResidualSqrtPiError,
-    gamma_doubled,
-    gamma_ratio_doubled,
-)
+from .exact import PoleError, ResidualSqrtPiError, gamma_ratio_doubled
 from .labels import SixJLabels, admissible, reflect_labels, require_int_labels, shelepin
 
 VARIANTS = ("1a", "1b", "2a", "2b", "3a", "3b")
@@ -181,10 +175,13 @@ def _series_params(six: tuple[int, ...], n: int, variant: str) -> KdFParams:
 
 
 def _prefactor(labels: SixJLabels, variant: str) -> Fraction:
-    """The variant's prefactor; factorials take plain integers, and every Gamma
-    argument is doubled (upper-case names, h(X) = X + n - 2 is 2 (x + tau)).
+    """The variant's prefactor as one ``gamma_ratio_doubled`` call.
 
-    The Gamma powers of sqrt(pi) must cancel; ResidualSqrtPiError if they do not.
+    Factorials are listed by plain integer v and join the ratio as Gamma(v + 1),
+    doubled 2v + 2; every Gamma argument is doubled (upper-case names, h(X) = X + n - 2
+    is 2 (x + tau)).  A pole among the arguments, a factorial of a negative integer
+    included, raises IndefinitePrefactorError; the powers of sqrt(pi) must cancel,
+    ResidualSqrtPiError if they do not.
     """
     n = labels.n
     arr = shelepin(labels)
@@ -249,22 +246,14 @@ def _prefactor(labels: SixJLabels, variant: str) -> Fraction:
     else:
         raise ValueError(f"unknown variant {variant}")
 
-    for v in fnums + fdens:
-        if v < 0:
-            raise IndefinitePrefactorError(f"factorial of {v} in variant {variant} prefactor")
-    for t in gnums + gdens:
+    nums = gnums + [2 * v + 2 for v in fnums]
+    dens = gdens + [2 * v + 2 for v in fdens] + [2 * n - 4, n, n, n]  # (n-3)! Gamma(n/2)**3
+    for t in nums + dens:
         if t <= 0 and t % 2 == 0:
             raise IndefinitePrefactorError(f"gamma at {t // 2} in variant {variant} prefactor")
-    num, den, pi_half = gamma_ratio_doubled(gnums, gdens)
-    half_num, half_den, half_pi = gamma_doubled(n)  # Gamma(n/2), cubed below
-    if pi_half != 3 * half_pi:
-        raise ResidualSqrtPiError(f"residual sqrt(pi)**{pi_half - 3 * half_pi}")
-    num *= half_den**3
-    den *= half_num**3 * factorial(n - 3)
-    for v in fnums:
-        num *= factorial(v)
-    for v in fdens:
-        den *= factorial(v)
+    num, den, pi_half = gamma_ratio_doubled(nums, dens)
+    if pi_half != 0:
+        raise ResidualSqrtPiError(f"residual sqrt(pi)**{pi_half}")
     return Fraction(-num if sgn_exp % 2 else num, den)
 
 
@@ -272,6 +261,8 @@ def kdf_params_for(labels: SixJLabels, variant: str) -> tuple[KdFParams, Fractio
     """Series parameters and prefactor for one of the six parameterizations."""
     if not admissible(labels):
         raise ValueError(f"labels {labels} not admissible")
+    if labels.n < 3:
+        raise ValueError(f"KdF series need n >= 3, got n = {labels.n}")
     pre = _prefactor(labels, variant)
     return _series_params(labels.six, labels.n, variant), pre
 

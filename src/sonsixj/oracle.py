@@ -11,8 +11,10 @@ The SU(2) 6j itself is computed by the one-sum Racah formula.  The sums are the
 oracles' own, but not all of the arithmetic: the Racah formula's triangle factors,
 ``_prefactor`` and each route's tail fill ``exact.FactoredProduct`` ledgers, as the
 production prefactors do; both routes divide by the production ``threej_zero``, and
-the pair route also multiplies by ``nabla_tilde_0356``.  All routes are exact;
-arguments become quarter-integers for odd n, so the oracles accept even n only.
+the pair route also multiplies by ``nabla_tilde_0356``.  The pair route's leading
+Gamma and factorial ratio is one ``exact.gamma_ratio_doubled`` call.  All routes are
+exact; arguments become quarter-integers for odd n and the shifted SU(2) arguments go
+negative below n = 4, so the oracles accept even n >= 4 only.
 """
 from __future__ import annotations
 
@@ -75,8 +77,11 @@ def _su2_6j_doubled(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> Sur
 
 
 def require_even_n(n: int) -> None:
+    """The oracle routes take even n >= 4."""
     if n % 2:
         raise ValueError("oracle routes need even n (quarter-integer arguments otherwise)")
+    if n < 4:
+        raise ValueError(f"oracle routes need n >= 4, got n = {n}")
 
 
 def _prefactor(labels: SixJLabels) -> SurdValue:
@@ -145,12 +150,13 @@ def sixj_via_su2_pair(labels: SixJLabels, reinstate_phase: bool = False) -> Surd
         s2 = _su2_6j_doubled(b, a + h, g + h, c + q, d + q, f + q)
         if s2.coeff == 0:
             continue
-        # Gamma((g - e + n)/2 - 2) / Gamma(n/2 - 2), rational at even n
-        num, den, _ = gamma_ratio_doubled([g - e + n - 4], [n - 4])
+        # Gamma((g - e + n)/2 - 2) ((g + e)/2 + n - 4)! / (Gamma(n/2 - 2) ((g - e)/2)!
+        # ((g + e + n)/2 - 1)!), rational at even n; each v! is passed as Gamma(v + 1)
+        num, den, _ = gamma_ratio_doubled([g - e + n - 4, g + e + 2 * n - 6],
+                                          [n - 4, g - e + 2, g + e + n])
         if num == 0:
             continue
-        lead = Fraction(num * (g + n - 3) * factorial((g + e) // 2 + n - 4),
-                        den * factorial((g - e) // 2) * factorial((g + e + n) // 2 - 1))
+        lead = Fraction(num * (g + n - 3), den)
         tail = FactoredProduct()
         tail.mul_factorial((a - b + g) // 2)
         tail.mul_factorial((b - a + g) // 2)

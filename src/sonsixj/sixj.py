@@ -20,9 +20,9 @@ Each method multiplies its value by ``_abcdef(labels)``, a positive rational tha
 ``B``, ``C`` and of the closed form, ``threej_zero`` and ``assemble_sixj``) forms its
 Gamma and factorial products in one ``exact.FactoredProduct`` ledger per call, with
 every Gamma argument passed doubled, as an integer.  The Gamma-product sums pass
-their arguments doubled too, but evaluate them with the check paths' own table,
-``exact.gamma_doubled``, in integer products with one Fraction per term; they use
-neither the ledger nor ``series``.
+their arguments doubled too, but make each lattice term and the prefactor one call
+of the check paths' ``exact.gamma_ratio_doubled``, with one Fraction per nonzero
+term; they use neither the ledger nor ``series``.
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
 the cheapest evaluation; ``sixj`` ties everything together with a ``functools.lru_cache``
@@ -40,14 +40,7 @@ from itertools import permutations
 from math import factorial, perm
 from typing import NamedTuple
 
-from .exact import (
-    FactoredProduct,
-    PoleError,
-    ResidualSqrtPiError,
-    SurdValue,
-    gamma_doubled,
-    gamma_ratio_doubled,
-)
+from .exact import FactoredProduct, ResidualSqrtPiError, SurdValue, gamma_ratio_doubled
 from .labels import (
     RArray,
     SixJLabels,
@@ -196,47 +189,32 @@ def _gamma_sum(labels: SixJLabels, pre_nums, pre_dens, sign_exp: int, points) ->
 
     Every Gamma argument is passed doubled, as the integer t of Gamma(t/2).
     ``points`` yields (s, nums, dens) per lattice point, for the term
-    (-1)**s * prod Gamma(nums) / prod Gamma(dens); a pole among ``dens`` makes the
-    term zero, and one among ``nums`` raises.  Each term is a product of integers
-    from ``gamma_doubled`` and joins the sum as one Fraction; the terms must share
-    one sqrt(pi) exponent.  The sum is multiplied by the Gamma ratio of ``pre_nums``
-    over ``pre_dens``, by 1/(n-3)!, by (-1)**sign_exp and by ``_abcdef``.
+    (-1)**s * prod Gamma(nums) / prod Gamma(dens).  Each term is one
+    ``gamma_ratio_doubled`` call, so its poles follow that function's one rule; a
+    zero term is skipped uncounted, and the rest join the sum as one Fraction each
+    and must share one sqrt(pi) exponent.  The sum is multiplied by the Gamma ratio
+    of ``pre_nums`` over ``pre_dens`` and (n-3)! = Gamma(n-2), by (-1)**sign_exp and
+    by ``_abcdef``.
     """
     total = Fraction(0)
     pi_half = terms = 0
     for s, nums, dens in points:
-        if min(dens) <= 0 and any(t <= 0 and t % 2 == 0 for t in dens):
+        num, den, p = gamma_ratio_doubled(nums, dens)
+        if not num:
             continue
-        if min(nums) <= 0:
-            for t in nums:
-                if t <= 0 and t % 2 == 0:
-                    raise PoleError(f"numerator gamma pole at {t // 2}")
-        num = -1 if s % 2 else 1
-        den = 1
-        p = 0
-        for t in nums:
-            a, b, e = gamma_doubled(t)
-            num *= a
-            den *= b
-            p += e
-        for t in dens:
-            a, b, e = gamma_doubled(t)
-            num *= b
-            den *= a
-            p -= e
         terms += 1
         if total and p != pi_half:
             raise ResidualSqrtPiError("inconsistent sqrt(pi) exponent across series terms")
-        total += Fraction(num, den)
+        total += Fraction(-num if s % 2 else num, den)
         pi_half = p
     if not total:
         return Fraction(0), terms
-    num, den, p = gamma_ratio_doubled(pre_nums, pre_dens)
+    num, den, p = gamma_ratio_doubled(pre_nums, [*pre_dens, 2 * labels.n - 4])
     if num and p + pi_half:
         raise ResidualSqrtPiError(f"residual sqrt(pi)**{p + pi_half}")
     if sign_exp % 2:
         num = -num
-    return Fraction(num, den * factorial(labels.n - 3)) * total * _abcdef(labels), terms
+    return Fraction(num, den) * total * _abcdef(labels), terms
 
 
 def _c_factorial_ab(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:

@@ -159,6 +159,16 @@ def test_params_for_inadmissible_raises():
         kdf_params_for(SixJLabels(0, 0, 1, 0, 0, 1, 6), "1a")
 
 
+@pytest.mark.parametrize("n", [2, 1, 0])
+def test_params_for_rejects_n_below_3(n):
+    # an error naming n, not the undefined-prefactor skip
+    lab = SixJLabels(2, 2, 2, 2, 2, 2, n)
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match=f"KdF series need n >= 3, got n = {n}$") as info:
+            kdf_params_for(lab, variant)
+        assert not isinstance(info.value, IndefinitePrefactorError)
+
+
 def test_hook_reflection_maps():
     pairs = (("1a", "2a"), ("1b", "2b"), ("1a", "3b"), ("1b", "3a"))
     for six in [(2, 2, 2, 2, 2, 2), (1, 3, 2, 3, 1, 4), (2, 2, 4, 2, 2, 4)]:

@@ -8,6 +8,7 @@ from sonsixj.exact import SurdValue, surd_normalize
 from sonsixj.labels import SixJLabels, admissible_sixes
 from sonsixj.oracle import _prefactor, sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from sonsixj.sixj import sixj
+from sonsixj.verify import SuiteRangeError, run_oracles
 
 H = Fraction(1, 2)
 
@@ -90,6 +91,16 @@ def test_reduction_requires_even_n():
         sixj_via_su2_triple(SixJLabels(2, 2, 2, 2, 2, 2, 5))
     with pytest.raises(ValueError):
         sixj_via_su2_pair(SixJLabels(2, 2, 2, 2, 2, 2, 7))
+
+
+@pytest.mark.parametrize("n", [2, 0])
+def test_reduction_rejects_even_n_below_4(n):
+    # the shifted SU(2) arguments would go negative; the message names n
+    for route in (sixj_via_su2_triple, sixj_via_su2_pair):
+        with pytest.raises(ValueError, match=f"oracle routes need n >= 4, got n = {n}$"):
+            route(SixJLabels(0, 0, 0, 0, 0, 0, n))
+    with pytest.raises(SuiteRangeError, match=f"got n = {n}$"):
+        run_oracles(n_values=(4, n), max_label=1)
 
 
 def test_reduction_inadmissible_is_zero():
