@@ -14,10 +14,11 @@ One executable, several kinds of query:
 
 Labels follow a bare ``--`` in the row order {a b e; d c f} (top row first).
 Exact strings are the source of truth; decimals are derived, never fed back.
-``--method auto`` means the orbit's cheapest method for sixj, A for calpha and
-a for sp_u; ``--digits`` takes 1..10000; ``verify`` with one named suite rejects
-a flag that suite does not take, and ``--suite all`` skips a suite that rejects
-its range and runs the rest.
+``--method auto`` means the orbit's cheapest production method for sixj, A for
+calpha and a for sp_u; ``--digits`` takes 1..10000, ``--max-label`` 0 or more and
+``--count`` and ``--jobs`` 1 or more; ``verify`` with one named suite rejects a flag
+that suite does not take, and ``--suite all`` skips a suite that rejects its range
+and runs the rest.
 Exit codes: 0 success, 1 internal invariant violation, 2 malformed input, 141 when
 stdout closes before the output ends (128 + SIGPIPE).
 The only environment knob is SONSIXJ_CACHE_SIZE (entries in the value cache).
@@ -41,7 +42,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .exact import SurdValue, surd_normalize
 from .labels import SixJLabels, admissible_sixes, symmetry_orbit
-from .sixj import METHODS, FACTORIAL_METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
+from .sixj import METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, SuiteRangeError, run_suite
 
@@ -202,7 +203,7 @@ class Query(NamedTuple):
     allow_n3: bool = False  # takes --allow-n3
 
 
-_SO_METHODS = ("auto",) + METHODS + FACTORIAL_METHODS
+_SO_METHODS = ("auto",) + METHODS
 
 QUERIES = {
     "sixj": Query("full 6j-symbol {a b e; d c f}", 6, _sixj_value, _SO_METHODS, allow_n3=True),
@@ -351,6 +352,19 @@ def _cmd_sweep(args, labels: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer >= low; anything else exits 2 with the usage."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its 'invalid int value' message
+    return parse
+
+
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("exact", "decimal", "json"), default="exact")
     p.add_argument("--digits", type=int, default=DEFAULT_DIGITS, help="significant digits for decimal output")
@@ -384,17 +398,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run self-verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + tuple(SUITES))
     p.add_argument("--n", default=None, help="n values, e.g. 4..9 or 4,6,8")
-    p.add_argument("--max-label", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--max-label", type=_int_at_least(0), default=None)
+    p.add_argument("--count", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sweep", help="evaluate every admissible label set in range")
     p.add_argument("--kind", default="sixj", choices=tuple(k for k, q in QUERIES.items() if q.methods))
     p.add_argument("--n", required=True, help="n values, e.g. 4 or 4..6")
-    p.add_argument("--max-label", type=int, default=None)
+    p.add_argument("--max-label", type=_int_at_least(0), default=None)
     p.add_argument("--method", default="auto")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most the CPU count")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="worker processes, at most the CPU count")
     p.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -25,7 +25,8 @@ of the check paths' ``exact.gamma_ratio_doubled``, with one Fraction per nonzero
 term; they use neither the ledger nor ``series``.
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
-the cheapest evaluation; ``sixj`` ties everything together with a ``functools.lru_cache``
+the cheapest production evaluation (a closed form, ``A`` or ``B``; the check paths are
+never chosen); ``sixj`` ties everything together with a ``functools.lru_cache``
 keyed by ``labels.orbit_key`` (sorted alpha, sorted beta, n), one entry per symmetry
 orbit.  ``configure_cache``, ``cache_clear`` and ``cache_info`` resize, empty and report
 that cache.
@@ -54,17 +55,14 @@ from .labels import (
 )
 from .series import double_sum, series_table
 
-METHODS = ("StretchedE", "NearStretchedE", "A", "B", "C", "T3")
-FACTORIAL_METHODS = ("AFactorial", "BFactorial", "CFactorial")
-_STRETCHED, _NEAR_STRETCHED, _A, _B, _C, _T3 = range(len(METHODS))  # ranks for tie-breaks
-
 
 def _check_n(n: int, allow_n3: bool) -> None:
     if n >= 4:
         return
     if n == 3 and allow_n3:
         return
-    raise ValueError(f"n = {n} unsupported (n >= 4, or n = 3 with allow_n3=True)")
+    raise ValueError(f"n = {n} unsupported (n >= 4, or n = 3 with allow_n3=True, "
+                     "the command-line flag --allow-n3)")
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +358,7 @@ _EVALUATORS = {
     "BFactorial": partial(_c_factorial_ab, variant="b"),
     "CFactorial": _c_factorial_c,
 }
+METHODS = tuple(_EVALUATORS)
 
 
 def c_alpha(labels: SixJLabels, method: str = "A", allow_n3: bool = False) -> CAlpha:
@@ -384,17 +383,22 @@ class MethodChoice(NamedTuple):
     variant: SixJLabels
 
 
+_SELECTABLE = ("StretchedE", "NearStretchedE", "A", "B")  # production arithmetic only
+_STRETCHED, _NEAR_STRETCHED, _A, _B = range(len(_SELECTABLE))  # ranks for tie-breaks
+
+
 def select_method(labels: SixJLabels) -> MethodChoice:
     """Cheapest (method, orbit variant) pair; deterministic tie-breaking.
 
-    Walks the distinct row and column permutations (at most 6 x 24) of the label
-    set's array in plain integers and keeps the least (predicted terms, method rank,
-    variant.six); only the winner becomes a SixJLabels.  Cost and rank travel as one
-    int, cost * len(METHODS) + rank.  Method C costs what B costs and ranks after it
-    on the same variant, so it never wins.
+    Weighs the production methods only: the closed forms, A and B.  C costs what B
+    costs, and T3 and the factorial forms are check paths.  Walks the distinct row
+    and column permutations (at most 6 x 24) of the label set's array in plain
+    integers and keeps the least (predicted terms, method rank, variant.six); only
+    the winner becomes a SixJLabels.  Cost and rank travel as one int,
+    cost * len(_SELECTABLE) + rank.
     """
     arr = shelepin(labels)
-    slots = len(METHODS)
+    slots = len(_SELECTABLE)
     columns = tuple(dict.fromkeys(permutations(arr.alpha)))
     best = best_six = None
     for b1, b2, b3 in dict.fromkeys(permutations(arr.beta)):
@@ -403,19 +407,17 @@ def select_method(labels: SixJLabels) -> MethodChoice:
             if r11 == 0:
                 key = slots + _STRETCHED
             elif r11 == 1:
-                key = 2 * slots + _NEAR_STRETCHED  # A, B and T3 cost at least 2, 2 and 5
+                key = 2 * slots + _NEAR_STRETCHED  # A and B cost at least 2
             else:
                 lattice = r11 + 1
-                key = min(lattice * (b1 - a3 + 1) * slots + _A,
-                          lattice * (b3 - a1 + 1) * slots + _B,
-                          lattice * (r11 + 2) * (2 * r11 + 3) // 6 * slots + _T3)
+                key = min(lattice * (b1 - a3 + 1) * slots + _A, lattice * (b3 - a1 + 1) * slots + _B)
             if best is not None and key > best:
                 continue
             six = (a3 + a4 - b3, a2 + a4 - b2, a1 + a4 - b1, a1 + a2 - b3, a1 + a3 - b2, a2 + a3 - b1)
             if best is None or key < best or six < best_six:
                 best, best_six = key, six
     cost, rank = divmod(best, slots)
-    return MethodChoice(METHODS[rank], cost, labels.replace_six(best_six))
+    return MethodChoice(_SELECTABLE[rank], cost, labels.replace_six(best_six))
 
 
 # ---------------------------------------------------------------------------

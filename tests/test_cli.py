@@ -285,6 +285,27 @@ def test_exit_code_unsupported_n(capsys):
     assert out == (0, "1\n")
 
 
+def test_unsupported_n_names_the_flag(capsys):
+    assert main(["threej", "--n", "3", "--", "2", "2", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: n = 3 unsupported (n >= 4, or n = 3 with allow_n3=True, "
+                   "the command-line flag --allow-n3)\n")
+
+
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["verify", "--suite", "so4", "--max-label", "-1"], "--max-label", "must be >= 0, got -1"),
+    (["verify", "--suite", "symmetry", "--count", "0"], "--count", "must be >= 1, got 0"),
+    (["sweep", "--kind", "sixj", "--n", "4", "--max-label", "-1"], "--max-label", "must be >= 0, got -1"),
+    (["sweep", "--kind", "sp_u", "--n", "2", "--max-label", "-3"], "--max-label", "must be >= 0, got -3"),
+    (["sweep", "--kind", "sixj", "--n", "4", "--max-label", "1", "--jobs", "0"], "--jobs", "must be >= 1, got 0"),
+    (["sweep", "--kind", "sixj", "--n", "4", "--max-label", "1", "--jobs", "x"], "--jobs", "invalid int value: 'x'"),
+])
+def test_malformed_range_flags_exit_2(capsys, argv, flag, bound):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {flag}: {bound}\n")
+
+
 def test_exit_code_bad_cache_env(capsys, monkeypatch):
     sixj_mod = importlib.import_module("sonsixj.sixj")
     # main() replaces the process-wide cache; put the original back afterwards

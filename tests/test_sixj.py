@@ -1,6 +1,7 @@
 """Core 6j evaluation: dimensions, 3j prefactors, all evaluators, caching."""
 
 import importlib
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -12,7 +13,6 @@ from sonsixj.exact import PoleError, ResidualSqrtPiError, SurdValue, surd_normal
 from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, symmetry_orbit
 from sonsixj.sixj import (
     DEFAULT_CACHE_SIZE,
-    FACTORIAL_METHODS,
     METHODS,
     MethodChoice,
     _abcdef,
@@ -119,7 +119,7 @@ def test_all_evaluators_agree():
                 (0, 2, 2, 2, 0, 2), (3, 1, 2, 1, 3, 2)]:
         for n in (4, 5, 7):
             lab = SixJLabels(*six, n)
-            values = {m: c_alpha(lab, m).value for m in METHODS + FACTORIAL_METHODS
+            values = {m: c_alpha(lab, m).value for m in METHODS
                       if m not in ("StretchedE", "NearStretchedE")}
             assert len(set(values.values())) == 1, (six, n, values)
 
@@ -173,20 +173,18 @@ def predicted_terms(method: str, r11: int, r13: int, r31: int) -> int:
         return 2
     if method == "A":
         return (r11 + 1) * (r13 + 1)
-    if method in ("B", "C"):
+    if method == "B":
         return (r11 + 1) * (r31 + 1)
-    if method == "T3":
-        return (r11 + 1) * (r11 + 2) * (2 * r11 + 3) // 6
     raise ValueError(f"unknown method {method}")
 
 
 def reference_select(labels):
-    """The plain orbit scan: every distinct variant in label order, every method."""
+    """The plain orbit scan: every distinct variant in label order, A, B and the closed forms."""
     best = None
     for variant in sorted(symmetry_orbit(labels), key=lambda v: v.six):
         arr = shelepin(variant)
         r11, r13, r31 = arr.r(1, 1), arr.r(1, 3), arr.r(3, 1)
-        cands = ["A", "B", "C", "T3"]
+        cands = ["A", "B"]
         if r11 == 0:
             cands.append("StretchedE")
         elif r11 == 1:
@@ -219,6 +217,32 @@ def test_auto_equals_every_forced_method(rng, n):
     auto = sixj(lab, use_cache=False).value
     for method in ("A", "B", "C"):
         assert sixj(lab, method=method).value == auto, method
+
+
+# T3 predicts 14 terms here and A and B 15; auto evaluates with production arithmetic
+_T3_CHEAPER = (8, 8, 12, 10, 10, 10)
+
+
+@pytest.mark.parametrize("n", [4, 7, 10])
+def test_auto_selects_production_methods_where_t3_predicts_fewer_terms(n):
+    lab = SixJLabels(*_T3_CHEAPER, n)
+    result = sixj(lab, use_cache=False)
+    assert (result.method_used, result.predicted_terms) == ("A", 15)
+    assert result.value == sixj(lab, method="T3").value
+
+
+def test_auto_never_reaches_the_gamma_product_sums(monkeypatch):
+    sixj_mod = importlib.import_module("sonsixj.sixj")
+
+    def check_path(*args):
+        raise AssertionError("auto evaluated a check path")
+
+    monkeypatch.setattr(sixj_mod, "_gamma_sum", check_path)
+    assert sixj(SixJLabels(*_T3_CHEAPER, 7), use_cache=False).method_used == "A"
+    rng = random.Random(1)
+    for _ in range(40):
+        lab = random_admissible(rng, rng.randrange(4, 13), 30)
+        assert sixj(lab, use_cache=False).method_used in ("StretchedE", "NearStretchedE", "A", "B")
 
 
 def test_predicted_terms_bounds_actual():
@@ -379,7 +403,7 @@ def test_generic_evaluators_agree_at_n3():
     for six in admissible_sixes(4):
         lab = SixJLabels(*six, 3)
         ref = c_alpha(lab, "A", allow_n3=True).value
-        for method in ("B", "C", "T3", *FACTORIAL_METHODS):
+        for method in ("B", "C", "T3", "AFactorial", "BFactorial", "CFactorial"):
             assert c_alpha(lab, method, allow_n3=True).value == ref, (six, method)
 
 
