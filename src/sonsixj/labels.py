@@ -71,11 +71,16 @@ def parity_ok(labels: SixJLabels) -> bool:
 
 
 def admissible(labels: SixJLabels) -> bool:
-    """Nonnegative labels satisfying all four triangle conditions."""
-    six = labels.six
-    if any(x < 0 for x in six):
-        return False
-    return all(triangle_ok(*(six[i] for i in t)) for t in TRIADS)
+    """Nonnegative labels satisfying all four triangle conditions.
+
+    The triads are written out: |x - y| <= z <= x + y for each, with an even sum.
+    Those inequalities already force every label to be nonnegative, and the four
+    triad sums add up to twice the label sum, so three even sums make the fourth even.
+    """
+    a, b, e, d, c, f, _ = labels
+    return (abs(a - b) <= e <= a + b and abs(a - c) <= f <= a + c
+            and abs(b - d) <= f <= b + d and abs(c - d) <= e <= c + d
+            and not (a + b + e) % 2 and not (a + c + f) % 2 and not (b + d + f) % 2)
 
 
 def admissible_sixes(max_label: int) -> Iterator[tuple[int, int, int, int, int, int]]:

@@ -16,6 +16,11 @@ Arguments are kept doubled, 2 (p + c tau) = 2p + c (2 tau), so every row is an
 integer.  When 2 tau is even they are halved back and the terms are the exact
 integers; when 2 tau is odd every term carries the same power of two, 2**(4 m1
 + 2 m2), and the sum is divided by it once at the end.
+
+``double_sum`` sums each x2 row over x1 by Horner's rule on the rising coupling
+row (p + s x2)_{x1}, so a lattice point costs one large product, and counts the
+nonzero terms from where the rows first vanish.  ``termwise`` yields every term
+unfused; it is the reference the kernel is tested against.
 """
 from __future__ import annotations
 
@@ -146,37 +151,70 @@ def _coupling(k: _Kernel, x2: int) -> list[int]:
     return list(map(mul, cu, reversed(cd)))
 
 
+def _first_zero(a: int, step: int, kmax: int) -> int:
+    """The least k with (a)_k = 0 in steps of step, or kmax + 1 if k <= kmax has none.
+
+    a (a + step) ... (a + (k-1) step) first vanishes at k = -a/step + 1, when step
+    divides a <= 0.
+    """
+    if a <= 0 and a % step == 0:
+        return min(-a // step + 1, kmax + 1)
+    return kmax + 1
+
+
 def double_sum(table: SeriesTable, two_tau: int) -> tuple[Fraction, int]:
     """The double sum of the table at the given 2 tau, and its number of nonzero terms.
 
-    The x1 sum is fused per x2 row, so each row's x2 factor multiplies once.  The
-    x1 and x2 factors share most of their digits, so their common divisors are
-    taken out first and multiplied back once at the end.
+    Each x2 row is summed over x1 by Horner's rule on the ratio of its rising
+    coupling row: with p the row's argument at this x2 and cd[j] = (q)_j its
+    falling row, in steps of ``step``,
+
+        h = g1[x1] cd[m1 - x1] + (p + x1 step) h    for x1 = m1, ..., 0,
+
+    so each lattice point costs one large product.  The loop starts below the
+    rising row's first zero, where every later term vanishes.  The nonzero terms
+    are counted from integers: a term is nonzero iff g1[x1] is, x1 lies below the
+    rising row's first zero and m1 - x1 below the falling row's.  A row with none
+    is skipped.  The x1 and x2 factors share most of their digits, so their common
+    divisors are taken out first and multiplied back once at the end.
     """
     k = _kernel(table, two_tau)
     content1 = reduce(gcd, k.g1)
     content2 = reduce(gcd, k.g2)
     if not content1 or not content2:
         return Fraction(0), 0
+    m1, step = k.m1, k.step
     g1 = [f // content1 for f in k.g1]
+    below = list(accumulate((f != 0 for f in g1), initial=0))  # nonzero g1 below x1
     total = 0
     nonzero = 0
     for x2, f2 in enumerate(k.g2):
         if not f2:
             continue
-        terms = list(map(mul, g1, _coupling(k, x2)))
-        nonzero += len(terms) - terms.count(0)
-        total += f2 // content2 * sum(terms)
+        p = k.up[0] + k.up[1] * x2
+        q = k.down[0] + k.down[1] * x2
+        hi = _first_zero(p, step, m1)  # x1 < hi: (p)_{x1} != 0
+        lo = m1 + 1 - _first_zero(q, step, m1)  # x1 >= lo: (q)_{m1-x1} != 0
+        count = below[hi] - below[lo]  # <= 0 when hi <= lo: no x1 has both rows nonzero
+        if count <= 0:
+            continue
+        nonzero += count
+        cd = _rows((q,), m1, step)
+        h = 0
+        for x1 in range(hi - 1, -1, -1):
+            h = g1[x1] * cd[m1 - x1] + (p + x1 * step) * h
+        total += f2 // content2 * h
     total *= content1 * content2
-    if k.step == 2:
-        return Fraction(total, 1 << (4 * k.m1 + 2 * k.m2)), nonzero
+    if step == 2:
+        return Fraction(total, 1 << (4 * m1 + 2 * k.m2)), nonzero
     return Fraction(total), nonzero
 
 
 def termwise(table: SeriesTable, two_tau: int) -> Iterator[tuple[tuple[int, int], int]]:
     """Yield ((x1, x2), term) for every lattice point, x1-major, zero terms included.
 
-    Needs an even 2 tau, where every term is an exact integer.
+    The unfused reference for ``double_sum``: one product per term.  Needs an even
+    2 tau, where every term is an exact integer.
     """
     if two_tau % 2:
         raise ValueError("termwise series terms need an even 2 tau")

@@ -3,9 +3,10 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sonsixj.labels import (
+    TRIADS,
     ParityError,
     SixJLabels,
     admissible,
@@ -37,6 +38,25 @@ def test_admissible():
     assert not admissible(SixJLabels(1, 1, 1, 1, 1, 1, 6))
     # negative label
     assert not admissible(SixJLabels(-1, 1, 0, 1, -1, 0, 6))
+
+
+def _admissible_by_triads(six):
+    """Nonnegative labels and triangle_ok on each of the four triads."""
+    return all(x >= 0 for x in six) and all(triangle_ok(*(six[i] for i in t)) for t in TRIADS)
+
+
+@settings(derandomize=True, max_examples=500)
+@given(st.tuples(*[st.integers(-2, 8)] * 6))
+def test_admissible_matches_triad_formulation(six):
+    assert admissible(SixJLabels(*six, 6)) == _admissible_by_triads(six)
+
+
+def test_admissible_matches_triad_formulation_exhaustively():
+    # every set with labels in -2..3: negative, odd-sum and admissible sets alike
+    sixes = list(product(range(-2, 4), repeat=6))
+    agree = [admissible(SixJLabels(*six, 6)) == _admissible_by_triads(six) for six in sixes]
+    assert all(agree)
+    assert 0 < sum(map(_admissible_by_triads, sixes)) < len(sixes)
 
 
 def test_overlap_array_all_twos():

@@ -1,13 +1,13 @@
 """The shared double-series kernel against arithmetic that does not go through it."""
 
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sonsixj.labels import SixJLabels, shelepin, triangle_ok
-from sonsixj.series import _rows, series_table
+from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, triangle_ok
+from sonsixj.series import _first_zero, _rows, double_sum, series_table
 from sonsixj.sixj import c_alpha
 from sonsixj.spn import SP_METHODS, SpLabels, sp_admissible, u_sp
 
@@ -75,6 +75,63 @@ def test_rows_are_pochhammer_products(step):
         for a in args:
             expected *= pochhammer(Fraction(a, step), k) * step**k
         assert v == expected, k
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_first_zero_is_where_the_row_vanishes(step):
+    for a in range(-12, 4):
+        row = _rows((a,), 5, step)
+        assert _first_zero(a, step, 5) == (row.index(0) if 0 in row else 6), a
+
+
+def _lattice_sum(table, two_tau):
+    """(sum, nonzero terms, coupling rows that vanish) of the table's double series.
+
+    One product per lattice point, from the Pochhammer rows of the table's own
+    arguments (doubled at odd 2 tau, where the sum carries 2**(4 m1 + 2 m2)).
+    """
+    step = 2 if two_tau % 2 else 1
+
+    def row(p, c, m):
+        return _rows([(2 * p + c * two_tau) // (2 // step)], m, step)
+
+    def rows(args, m):
+        return [prod(r) for r in zip(*(row(p, c, m) for p, c in args))]
+
+    m1, m2 = table.m1, table.m2
+    up1, down1 = rows(table.up1, m1), rows(table.down1, m1)
+    up2, down2 = rows(table.up2, m2), rows(table.down2, m2)
+    (pu, cu, su), (pd, cd, sd) = table.couple_up, table.couple_down
+    total = nonzero = vanishing = 0
+    for x2 in range(m2 + 1):
+        couple_up, couple_down = row(pu + su * x2, cu, m1), row(pd + sd * x2, cd, m1)
+        vanishing += (0 in couple_up) + (0 in couple_down)
+        for x1 in range(m1 + 1):
+            term = prod(((-1) ** (x1 + x2), comb(m1, x1), comb(m2, x2),
+                         up1[x1], down1[m1 - x1], up2[x2], down2[m2 - x2],
+                         couple_up[x1], couple_down[m1 - x1]))
+            total += term
+            nonzero += term != 0
+    return Fraction(total, 4 ** (2 * m1 + m2) if step == 2 else 1), nonzero, vanishing
+
+
+@pytest.mark.parametrize("ns, two_tau", [
+    ((4, 6, 10), lambda n: n - 2),
+    ((5, 7, 11), lambda n: n - 2),
+    ((1, 2, 3, 5), lambda n: -2 * n - 2),
+], ids=["even_two_tau", "odd_two_tau", "sp_rank"])
+def test_double_sum_matches_lattice_sum(ns, two_tau):
+    # value and nonzero count of the Horner kernel against the plain lattice sum
+    vanishing = 0
+    for six in list(admissible_sixes(5))[::5]:
+        arr = shelepin(SixJLabels(*six, 6))
+        for n in ns:
+            for method in ("A", "B", "C"):
+                table = series_table(arr, method)
+                value, nonzero, zeros = _lattice_sum(table, two_tau(n))
+                assert double_sum(table, two_tau(n)) == (value, nonzero), (six, n, method)
+                vanishing += zeros
+    assert vanishing  # the first-zero count is exercised at this step
 
 
 def test_series_table_rejects_unknown_method():
