@@ -13,7 +13,9 @@ One executable, several kinds of query:
     sonsixj sweep   --kind sixj --n 4 --max-label 2 --jobs 4
 
 Labels follow a bare ``--`` in the row order {a b e; d c f} (top row first).
-Exact strings are the source of truth; decimals are derived, never fed back.
+Exact strings are the source of truth; decimals are derived, never fed back.  A
+value renders its exact and its default decimal string once (``SurdValue`` keeps
+them), so the sweep's rows that hit the value cache reuse their orbit's strings.
 ``--method auto`` means the orbit's cheapest production method for sixj, A for
 calpha and a for sp_u; ``--digits`` takes 1..10000, ``--max-label`` 0 or more and
 ``--count`` and ``--jobs`` 1 or more; ``verify`` with one named suite rejects a flag
@@ -27,7 +29,6 @@ The only environment knob is SONSIXJ_CACHE_SIZE (entries in the value cache).
 from __future__ import annotations
 
 import argparse
-import decimal
 import inspect
 import json
 import os
@@ -40,13 +41,12 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .exact import SurdValue, surd_normalize
+from .exact import DEFAULT_DIGITS, SurdValue, surd_normalize
 from .labels import SixJLabels, admissible_sixes, symmetry_orbit
 from .sixj import METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, SuiteRangeError, run_suite
 
-DEFAULT_DIGITS = 16
 MAX_N_VALUES = 10_000  # most n values one --n may expand to
 MAX_DIGITS = 10_000  # most significant digits --digits may ask for
 
@@ -84,21 +84,13 @@ def render_decimal(value: SurdValue | Fraction | int, digits: int = DEFAULT_DIGI
     """Decimal rendering with the stated number of significant digits."""
     if not isinstance(value, SurdValue):
         value = SurdValue.of_rational(Fraction(value))
-    if value.is_zero():
-        return "0"
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits + 10
-        d = decimal.Decimal(value.coeff.numerator) / decimal.Decimal(value.coeff.denominator)
-        if value.radicand != 1:
-            d *= decimal.Decimal(value.radicand.numerator).sqrt()
-        ctx.prec = digits
-        return str(+d)
+    return value.decimal_text(digits)
 
 
 def _emit(args, payload: dict, exact_value) -> None:
     """Print one result in the requested format."""
     if args.format == "json":
-        print(json.dumps(payload, separators=(", ", ": ")))
+        print(json.dumps(payload))
     elif args.format == "decimal":
         print(render_decimal(exact_value, args.digits))
     else:
@@ -242,7 +234,7 @@ def _cmd_orbit(args, labels: list[int]) -> int:
     n = _single_n(args.n)
     for variant in sorted(symmetry_orbit(SixJLabels(*six, n)), key=lambda v: v.six):
         if args.format == "json":
-            print(json.dumps({"kind": "orbit", "n": n, "labels": list(variant.six)}, separators=(", ", ": ")))
+            print(json.dumps({"kind": "orbit", "n": n, "labels": list(variant.six)}))
         else:
             print(" ".join(str(x) for x in variant.six))
     return 0
@@ -289,8 +281,7 @@ SweepTask = tuple[str, tuple[int, ...], int, str]
 
 def _sweep_eval(task: SweepTask) -> str:
     kind, six, n, method = task
-    return json.dumps(_payload(kind, n, six, *QUERIES[kind].evaluate(six, n, method, False)),
-                      separators=(", ", ": "))
+    return json.dumps(_payload(kind, n, six, *QUERIES[kind].evaluate(six, n, method, False)))
 
 
 def _sweep_tasks(args) -> Iterator[SweepTask]:

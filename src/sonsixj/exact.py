@@ -3,7 +3,10 @@
 Every quantity in this package is exact.  The value domain is built from two layers:
 
 * ``Fraction`` for plain rationals (half-integers are Fractions with denominator <= 2),
-* ``SurdValue`` for rationals times the square root of a squarefree integer.
+* ``SurdValue`` for rationals times the square root of a squarefree integer.  A value
+  renders its exact string, and its decimal string at ``DEFAULT_DIGITS``, once per
+  instance: the value cache hands out the same instance on every hit, so a sweep
+  renders each symmetry orbit once.
 
 Gamma values at half-integer points carry a power of sqrt(pi), which must cancel
 before a value joins either layer.  Two APIs form products of them, and each serves
@@ -13,8 +16,8 @@ one side:
   coefficient, the scalar 3j symbol, the assembly of the 6j symbol and the Sp(2n)
   coefficient (with its dimensions and normalization) each fill one with factorials
   and Gamma values (arguments passed doubled, as positive integers), kept as the prime
-  exponents of factorials, and expand it once, as a Fraction or as an exact square
-  root.  It never factors an integer.
+  exponents of factorials packed into one integer, and expand it once, as a Fraction
+  or as an exact square root.  It never factors an integer.
 * ``gamma_ratio_doubled`` serves only the check paths: every Gamma and factorial
   product of ``T3``, the factorial forms, the KdF prefactors and the SU(2) pair
   route is one call, with a factorial v! passed as Gamma(v + 1), doubled 2v + 2.  It
@@ -25,13 +28,16 @@ one side:
 """
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, mul, sub
+from functools import cached_property, lru_cache
+from itertools import compress
+
+DEFAULT_DIGITS = 16  # significant digits of a decimal rendering unless asked otherwise
 
 
 class PoleError(ArithmeticError):
@@ -256,9 +262,32 @@ class SurdValue:
         return float(self.coeff) * math.sqrt(float(self.radicand))
 
     def __str__(self) -> str:
+        return self._exact_text
+
+    @cached_property
+    def _exact_text(self) -> str:
         if self.radicand == 1:
             return str(self.coeff)
         return f"{self.coeff}*sqrt({self.radicand})"
+
+    def decimal_text(self, digits: int = DEFAULT_DIGITS) -> str:
+        """The value to ``digits`` significant digits; the default rendering is made once."""
+        return self._default_decimal_text if digits == DEFAULT_DIGITS else self._decimal_text(digits)
+
+    @cached_property
+    def _default_decimal_text(self) -> str:
+        return self._decimal_text(DEFAULT_DIGITS)
+
+    def _decimal_text(self, digits: int) -> str:
+        if self.is_zero():
+            return "0"
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits + 10
+            d = decimal.Decimal(self.coeff.numerator) / decimal.Decimal(self.coeff.denominator)
+            if self.radicand != 1:
+                d *= decimal.Decimal(self.radicand.numerator).sqrt()
+            ctx.prec = digits
+            return str(+d)
 
 
 def surd_normalize(coeff: Fraction | int, radicand: Fraction | int) -> SurdValue:
@@ -306,17 +335,25 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return primes[:bisect_right(primes, limit)]
 
 
+_SLOT_LIMIT = 1 << 63  # a slot is 8 bytes and holds a signed exponent below this in size
+_SLOT_BIAS = _SLOT_LIMIT.to_bytes(8, "little")  # 2**63 in one slot
+
+
 @lru_cache(maxsize=4096)
-def _factorial_exponents(m: int) -> tuple[int, ...]:
-    """The exponents of m! by Legendre's formula, aligned with ``primes_up_to(m)``."""
-    out = []
+def _factorial_packed(m: int) -> int:
+    """The exponents of m! by Legendre's formula, packed: the i-th prime's in slot i.
+
+    Each slot is 8 bytes, lowest first, and the primes are those of
+    ``primes_up_to(m)``, so the prime 2 has slot 0.
+    """
+    out = bytearray()
     for p in primes_up_to(m):
         e, q = 0, m
         while q:
             q //= p
             e += q
-        out.append(e)
-    return tuple(out)
+        out += e.to_bytes(8, "little")
+    return int.from_bytes(out, "little")
 
 
 class FactoredProduct:
@@ -329,32 +366,33 @@ class FactoredProduct:
     factorial, ``PoleError`` for a Gamma argument.  An integer joins as a ratio of
     factorials, v = v! / (v - 1)!.
 
-    The exponents sit in a dense list indexed by prime position, one vector addition
-    per factorial.
+    The exponents live in one integer, ``packed``, the sum of e_i * 2**(64 i) over the
+    primes with signed e_i: multiplying by m!**e adds e times the cached packed
+    Legendre vector of m!, one big-integer operation, and carries and borrows between
+    slots cancel in the sum.  Gamma(m + 1/2)**e is (2m)!**e / m!**e with 2m e taken
+    off slot 0, the prime 2, in the same operation, and ``*=`` adds a whole ledger.
+    Expanding unpacks every slot once, which is exact while every |e_i| < 2**63.  The
+    exponent of any prime in m! is below m, so ``bound``, the sum of |e| * m over the
+    factorials joined (5 m |e| for Gamma(m + 1/2)**e), bounds every slot; expanding a
+    ledger whose bound reaches 2**63 raises OverflowError instead of reading a slot
+    that may have wrapped.
     """
 
-    __slots__ = ("exps", "top", "pi_half")
+    __slots__ = ("packed", "bound", "top", "pi_half")
 
     def __init__(self) -> None:
-        self.exps: list[int] = []  # exponent of the i-th prime, for the primes up to top
-        self.top = 1
+        self.packed = 0
+        self.bound = 0  # bounds |e_i| in every slot
+        self.top = 1  # the largest m joined: its primes cover every nonzero slot
         self.pi_half = 0
 
     def mul_factorial(self, m: int, e: int = 1) -> "FactoredProduct":
         if m < 0:
             raise ValueError(f"factorial of negative {m}")
-        vec = _factorial_exponents(m)
-        exps = self.exps
-        k = len(vec)
-        if k > len(exps):
-            exps.extend(repeat(0, k - len(exps)))
+        self.packed += _factorial_packed(m) * e
+        self.bound += abs(e) * m
+        if m > self.top:
             self.top = m
-        if e == 1:
-            exps[:k] = map(add, exps, vec)
-        elif e == -1:
-            exps[:k] = map(sub, exps, vec)
-        else:
-            exps[:k] = map(add, exps, map(mul, vec, repeat(e)))
         return self
 
     def mul_gamma(self, two_x: int, e: int = 1) -> "FactoredProduct":
@@ -363,20 +401,40 @@ class FactoredProduct:
             raise PoleError(f"gamma at {two_x}/2 is not a positive half-integer point")
         if two_x % 2 == 0:
             return self.mul_factorial(two_x // 2 - 1, e)
-        # Gamma(m + 1/2) = (2m)! / (4**m m!) sqrt(pi)
+        # Gamma(m + 1/2) = (2m)! / (4**m m!) sqrt(pi); 4**m is 2m in slot 0, the prime 2
         m = two_x // 2
-        self.mul_factorial(2 * m, e)
-        self.mul_factorial(m, -e)
-        if m:
-            self.exps[0] -= 2 * m * e  # the prime 2, present since (2m)! joined
+        self.packed += (_factorial_packed(2 * m) - _factorial_packed(m) - 2 * m) * e
+        self.bound += 5 * m * abs(e)
+        if 2 * m > self.top:
+            self.top = 2 * m
         self.pi_half += e
+        return self
+
+    def _exponents(self) -> zip:
+        """(prime, exponent) for every prime up to ``top``."""
+        if self.bound >= _SLOT_LIMIT:
+            raise OverflowError(f"a prime exponent may exceed the packed slot ({self.bound} >= 2**63)")
+        primes = primes_up_to(self.top)
+        bias = int.from_bytes(_SLOT_BIAS * len(primes), "little")
+        # each biased slot lies in [0, 2**64); flipping its top bit back leaves the
+        # exponent in two's complement, which a signed 64-bit view reads
+        slots = ((self.packed + bias) ^ bias).to_bytes(8 * len(primes), sys.byteorder)
+        return zip(primes, memoryview(slots).cast("q"))
+
+    def __imul__(self, other: "FactoredProduct") -> "FactoredProduct":
+        """Multiply by the product another ledger holds; ``other`` is unchanged."""
+        self.packed += other.packed
+        self.bound += other.bound
+        if other.top > self.top:
+            self.top = other.top
+        self.pi_half += other.pi_half
         return self
 
     def to_fraction(self) -> Fraction:
         if self.pi_half != 0:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half}")
         num = den = 1
-        for p, e in zip(primes_up_to(self.top), self.exps):
+        for p, e in self._exponents():
             if e > 0:
                 num *= p**e
             elif e < 0:
@@ -389,7 +447,7 @@ class FactoredProduct:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half} under sqrt")
         cnum = cden = 1
         rad = 1
-        for p, e in zip(primes_up_to(self.top), self.exps):
+        for p, e in self._exponents():
             if e % 2:
                 # p**e = p**(e-1) * p, the stray p joins the radicand
                 rad *= p

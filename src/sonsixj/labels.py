@@ -53,8 +53,15 @@ def require_ints(fields: Iterable[tuple[str, object]]) -> None:
 
 
 def require_int_labels(labels: NamedTuple) -> None:
-    """Raise ValueError naming the first field (a label or n) that is not an int."""
-    require_ints(zip(labels._fields, labels))
+    """Raise ValueError naming the first field (a label or n) that is not an int.
+
+    Fields that are exactly ``int`` pass at once; any other field sends the whole
+    set through ``require_ints``, which accepts int subclasses other than bool.
+    """
+    for x in labels:
+        if type(x) is not int:
+            require_ints(zip(labels._fields, labels))
+            return
 
 
 def triangle_ok(l1: int, l2: int, l3: int) -> bool:
@@ -66,8 +73,8 @@ def triangle_ok(l1: int, l2: int, l3: int) -> bool:
 
 def parity_ok(labels: SixJLabels) -> bool:
     """All four triad sums even."""
-    six = labels.six
-    return all(sum(six[i] for i in t) % 2 == 0 for t in TRIADS)
+    a, b, e, d, c, f, _ = labels
+    return not ((c + d + e) | (b + d + f) | (a + c + f) | (a + b + e)) & 1
 
 
 def admissible(labels: SixJLabels) -> bool:
@@ -178,12 +185,11 @@ def orbit_key(labels: SixJLabels) -> tuple[int, ...]:
     Raises ParityError on odd triad sums, like ``shelepin``.
     """
     a, b, e, d, c, f, n = labels
-    triads = (c + d + e, b + d + f, a + c + f, a + b + e)
-    if any(t % 2 for t in triads):
+    t1, t2, t3, t4 = c + d + e, b + d + f, a + c + f, a + b + e
+    if (t1 | t2 | t3 | t4) & 1:  # one test of the four parities
         raise ParityError(f"odd triad sum in {labels.six}")
-    alpha = sorted(t // 2 for t in triads)
-    beta = sorted(((a + b + c + d) // 2, (a + d + e + f) // 2, (b + c + e + f) // 2))
-    return (*alpha, *beta, n)
+    return (*sorted((t1 // 2, t2 // 2, t3 // 2, t4 // 2)),
+            *sorted(((a + b + c + d) // 2, (a + d + e + f) // 2, (b + c + e + f) // 2)), n)
 
 
 _POSITIONS = {"a": 0, "b": 1, "e": 2, "d": 3, "c": 4, "f": 5}

@@ -19,10 +19,12 @@ Each method multiplies its value by ``_abcdef(labels)``, a positive rational tha
 ``assemble_sixj`` divides back out.  The production path (the prefactors of ``A``,
 ``B``, ``C`` and of the closed form, ``threej_zero`` and ``assemble_sixj``) forms its
 Gamma and factorial products in one ``exact.FactoredProduct`` ledger per call, with
-every Gamma argument passed doubled, as an integer.  The Gamma-product sums pass
-their arguments doubled too, but make each lattice term and the prefactor one call
-of the check paths' ``exact.gamma_ratio_doubled``, with one Fraction per nonzero
-term; they use neither the ledger nor ``series``.
+every Gamma argument passed doubled, as an integer; the assembly adds the four
+squared triangular factors from ``_nabla_sq``, a bounded cache of one ledger per
+(n, triad).  The Gamma-product sums pass their arguments doubled too, but make
+each lattice term and the prefactor one call of the check paths'
+``exact.gamma_ratio_doubled``, with one Fraction per nonzero term; they use
+neither the ledger nor ``series``.
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
 the cheapest production evaluation (a closed form, ``A`` or ``B``; the check paths are
@@ -123,6 +125,12 @@ def _mul_nabla_sq(fp: FactoredProduct, n: int, a: int, b: int, e: int, inverted:
     fp.mul_gamma(a + b - e + n - 2, -1)
     fp.mul_factorial((a + b + e) // 2 + n - 3, -1)
     return fp
+
+
+@lru_cache(maxsize=4096)
+def _nabla_sq(n: int, a: int, b: int, e: int) -> FactoredProduct:
+    """The squared triangular factor of one triad as a ledger; shared, so never mutated."""
+    return _mul_nabla_sq(FactoredProduct(), n, a, b, e)
 
 
 def nabla_tilde_0356(n: int, a: int, b: int, e: int) -> SurdValue:
@@ -432,17 +440,14 @@ class SixJValue:
     predicted_terms: int = 0
 
 
-_TRIADS = (("a", "b", "e"), ("a", "c", "f"), ("b", "d", "f"), ("c", "d", "e"))
-
-
 def assemble_sixj(c_value: Fraction, labels: SixJLabels) -> SurdValue:
     """Combine the rational core with the four triangular factors into the symbol."""
     if c_value == 0:
         return SurdValue.zero()
-    n = labels.n
+    a, b, e, d, c, f, n = labels
     fp = FactoredProduct()
-    for t in _TRIADS:
-        _mul_nabla_sq(fp, n, *(getattr(labels, name) for name in t))
+    for triad in ((a, b, e), (a, c, f), (b, d, f), (c, d, e)):
+        fp *= _nabla_sq(n, *triad)
     fp.mul_factorial(n - 3, 4)
     fp.mul_gamma(n, 8)
     # every evaluator multiplies its value by _abcdef(labels) > 0

@@ -1,17 +1,19 @@
 """Command line interface: parsing, rendering, exit codes, sweeps."""
 
+import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
-from sonsixj import cli
+from sonsixj import cli, exact
 from sonsixj.cli import (
     MalformedQuery,
     _parse_n_list,
@@ -22,8 +24,8 @@ from sonsixj.cli import (
     render_exact,
 )
 from sonsixj.exact import SurdValue, surd_normalize
-from sonsixj.labels import SixJLabels
-from sonsixj.sixj import sixj
+from sonsixj.labels import SixJLabels, admissible_sixes, symmetry_orbit
+from sonsixj.sixj import cache_clear, cache_info, sixj
 from sonsixj.spn import SpLabels, u_sp
 
 
@@ -127,6 +129,41 @@ def test_render_decimal():
     assert render_decimal(SurdValue.zero()) == "0"
     v = surd_normalize(Fraction(1, 10), 5)
     assert render_decimal(v, 16) == "0.2236067977499790"
+
+
+def test_cache_hits_reuse_their_orbits_rendering(monkeypatch):
+    cache_clear()
+    first, *others = sorted(symmetry_orbit(SixJLabels(3, 4, 5, 2, 3, 4, 12)))
+    value = sixj(first).value
+    rendered = (render_exact(value), render_decimal(value))
+    monkeypatch.setattr(exact, "decimal", None)  # a hit does no Decimal arithmetic
+    assert others
+    for labels in others:
+        hit = sixj(labels).value
+        assert hit is value
+        assert (render_exact(hit), render_decimal(hit)) == rendered
+
+
+def test_rows_rendered_in_threads_agree():
+    # four threads fill one empty value cache and render its shared values at once,
+    # under a tiny switch interval; each must print the serial sweep's rows
+    tasks = [("sixj", six, n, "auto") for n in (7, 8) for six in admissible_sixes(3)]
+    expected = [cli._sweep_eval(task) for task in tasks]
+    results = []
+    old_interval = sys.getswitchinterval()
+    cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append([cli._sweep_eval(t) for t in tasks]))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert results == [expected] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +391,24 @@ def test_sweep_deterministic_and_parallel(capsys):
     rows = [json.loads(line) for line in serial.splitlines()]
     keys = [(r["n"], tuple(r["labels"])) for r in rows]
     assert keys == sorted(keys)
+
+
+# SHA-256 of the stdout of `sonsixj sweep --kind sixj --n 4..9 --max-label 4` (3,420 rows),
+# recorded from code that rendered every row afresh
+SWEEP_4_9_SHA256 = "5c97304ebc19e7348d97e3fd12279af0287a28882cc95b988c1e5393ea000dcc"
+
+
+def test_sweep_bytes_pinned_on_every_path(capsys):
+    argv = ["sweep", "--kind", "sixj", "--n", "4..9", "--max-label", "4"]
+    cache_clear()
+    cold = run_cli(capsys, argv)
+    misses = cache_info().misses
+    warm = run_cli(capsys, argv)  # every row a cache hit, reusing its orbit's rendering
+    assert cache_info().misses == misses
+    pooled = run_cli(capsys, argv + ["--jobs", "2"])
+    for code, out in (cold, warm, pooled):
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_4_9_SHA256
 
 
 def test_sweep_rows_match_direct_evaluation(capsys):

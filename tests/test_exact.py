@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sonsixj import exact
 from sonsixj.exact import (
@@ -305,6 +305,40 @@ def test_factored_product_gamma_matches_gamma_exact(e):
         assert fp.to_fraction() == Fraction(num, den) ** e, two_x
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3000), st.integers(min_value=-8, max_value=8)),
+                min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=1500), st.integers(min_value=-8, max_value=8)),
+                max_size=3))
+def test_packed_ledger_equals_the_product(factorials, half_gammas):
+    # m! ** e for each (m, e), and, in a second ledger joined by *=, Gamma(m + 1/2) ** e
+    # with its sqrt(pi) taken back out
+    fp, gammas = FactoredProduct(), FactoredProduct()
+    expected = Fraction(1)
+    for m, e in factorials:
+        fp.mul_factorial(m, e)
+        expected *= Fraction(math.factorial(m)) ** e
+    for m, e in half_gammas:
+        gammas.mul_gamma(2 * m + 1, e).mul_gamma(1, -e)  # Gamma(1/2) = sqrt(pi)
+        num, den, _ = gamma_doubled(2 * m + 1)
+        expected *= Fraction(num, den) ** e
+    fp *= gammas
+    assert fp.to_fraction() == expected
+    assert fp.sqrt_surd().square() == expected
+
+
+def test_packed_ledger_overflow_raises():
+    # the exponent 2**64 of the prime 2 does not fit a signed 64-bit slot; unguarded, it
+    # would carry into the slot of 3 and the ledger would read as 3**2
+    fp = FactoredProduct().mul_factorial(2, 2**64 - 1).mul_factorial(3)
+    with pytest.raises(OverflowError):
+        fp.to_fraction()
+    with pytest.raises(OverflowError):
+        fp.sqrt_surd()
+    # slots far from zero in between are fine while the bound stays below 2**63
+    assert FactoredProduct().mul_factorial(3, 2**40).mul_factorial(3, -2**40).to_fraction() == 1
+
+
 def test_factored_product_rejects_nonpositive_factors():
     for two_x in (0, -1, -2, -7):
         with pytest.raises(PoleError):
@@ -326,7 +360,7 @@ def test_factored_products_in_threads_agree():
         return fp.to_fraction(), fp.sqrt_surd()
 
     expected = fill()
-    exact._factorial_exponents.cache_clear()
+    exact._factorial_packed.cache_clear()
     results = []
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -150,6 +150,31 @@ def test_orbit_key_form():
         orbit_key(SixJLabels(1, 1, 1, 1, 1, 1, 6))
 
 
+def _orbit_key_reference(labels):
+    """orbit_key as first written: the four triad sums tested one by one."""
+    a, b, e, d, c, f, n = labels
+    triads = (c + d + e, b + d + f, a + c + f, a + b + e)
+    if any(t % 2 for t in triads):
+        raise ParityError(f"odd triad sum in {labels.six}")
+    alpha = sorted(t // 2 for t in triads)
+    beta = sorted(((a + b + c + d) // 2, (a + d + e + f) // 2, (b + c + e + f) // 2))
+    return (*alpha, *beta, n)
+
+
+@given(st.lists(st.integers(min_value=-40, max_value=40), min_size=7, max_size=7))
+def test_orbit_key_matches_reference_on_any_integers(fields):
+    # negatives and odd triad sums included: the same key, or the same ParityError
+    lab = SixJLabels(*fields)
+    try:
+        expected = _orbit_key_reference(lab)
+    except ParityError as exc:
+        with pytest.raises(ParityError) as got:
+            orbit_key(lab)
+        assert str(got.value) == str(exc)
+    else:
+        assert orbit_key(lab) == expected
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_orbit_key_in_bijection_with_canonical_representative(n):
     rep_of_key, key_of_rep = {}, {}

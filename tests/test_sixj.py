@@ -361,6 +361,25 @@ def test_non_int_labels_rejected(bad):
                 call(lab)
 
 
+class _SubInt(int):
+    pass
+
+
+@pytest.mark.parametrize("call", [sixj, c_alpha])
+def test_label_type_check_names_the_first_non_int(call):
+    # plain ints take the fast path; the messages below are the ones of the field loop
+    for fields, message in (([True, 2, 2, 2, 2, 2, 6], "label a = True is not an int"),
+                            ([2, 2, 2, 2, 2, 2.0, 6], "label f = 2.0 is not an int"),
+                            ([2, 2, 2, 2, 2, 2, True], "label n = True is not an int"),
+                            ([2, _SubInt(2), 2, 2.0, 2, True, 6], "label d = 2.0 is not an int")):
+        with pytest.raises(ValueError) as got:
+            call(SixJLabels(*fields))
+        assert str(got.value) == message
+    # an int subclass other than bool is an int
+    plain = call(SixJLabels(2, 2, 2, 2, 2, 2, 6)).value
+    assert call(SixJLabels(_SubInt(2), 2, 2, 2, 2, 2, _SubInt(6))).value == plain
+
+
 @pytest.mark.parametrize("bad", [True, 2.0, Fraction(2), "2", None])
 def test_dim_rejects_non_int(bad):
     with pytest.raises(ValueError, match="label l = "):
