@@ -38,6 +38,7 @@ import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -361,7 +362,9 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--digits", type=int, default=DEFAULT_DIGITS, help="significant digits for decimal output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sonsixj",
         description="Exact recoupling coefficients for symmetric irreps of SO(n) "
@@ -388,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run self-verification suites")
     p.add_argument("--suite", default="all", choices=("all",) + tuple(SUITES))
-    p.add_argument("--n", default=None, help="n values, e.g. 4..9 or 4,6,8")
-    p.add_argument("--max-label", type=_int_at_least(0), default=None)
+    p.add_argument("--n", default=None, help="n values, e.g. 4..9 or 4,6,8; Sp(2n) ranks for the sp suite")
+    p.add_argument("--max-label", type=_int_at_least(0), default=None, help="largest label; not for sp")
     p.add_argument("--count", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_verify)

@@ -14,10 +14,11 @@ one side:
 
 * ``FactoredProduct`` is the production ledger.  The prefactors of the core
   coefficient, the scalar 3j symbol, the assembly of the 6j symbol and the Sp(2n)
-  coefficient (with its dimensions and normalization) each fill one with factorials
-  and Gamma values (arguments passed doubled, as positive integers), kept as the prime
-  exponents of factorials packed into one integer, and expand it once, as a Fraction
-  or as an exact square root.  It never factors an integer.
+  coefficient each fill one with factorials and Gamma values (arguments passed
+  doubled, as integers), kept as a sign and the prime exponents of factorials packed
+  into one integer, and expand it once, as a Fraction or as an exact square root.  It
+  never factors an integer.  It pairs poles by their residues, so the SO(N)
+  prefactor and root block serve Sp(2n) at N = -2n.
 * ``gamma_ratio_doubled`` serves only the check paths: every Gamma and factorial
   product of ``T3``, the factorial forms, the KdF prefactors and the SU(2) pair
   route is one call, with a factorial v! passed as Gamma(v + 1), doubled 2v + 2.  It
@@ -357,14 +358,20 @@ def _factorial_packed(m: int) -> int:
 
 
 class FactoredProduct:
-    """The production ledger: a positive exact product as prime exponents times sqrt(pi)**pi_half.
+    """The production ledger: a signed exact product as prime exponents times sqrt(pi)**pi_half.
 
     Factorials and Gamma at half-integer points multiply in with any integer
     exponent, and only exponents change; nothing is expanded until ``to_fraction`` or
-    ``sqrt_surd``.  A Gamma argument is passed doubled, as the positive integer two_x
-    of Gamma(two_x / 2).  A factor that is not positive raises: ``ValueError`` for a
-    factorial, ``PoleError`` for a Gamma argument.  An integer joins as a ratio of
-    factorials, v = v! / (v - 1)!.
+    ``sqrt_surd``.  A Gamma argument is passed doubled, as the integer two_x of
+    Gamma(two_x / 2).  An integer joins as a ratio of factorials, v = v! / (v - 1)!.
+
+    Poles pair.  A factorial m! at m < 0 and a Gamma at an even two_x <= 0 are Gamma(-k),
+    k = -m - 1 or -two_x / 2, read as Gamma(-k + c eps) at eps -> 0: each joins as its
+    residue (-1)**k / (k! c eps), a sign, k!**-1 and one pole order.  A factorial that
+    can pole carries the rank N + 2 eps (c = 2) and a Gamma tau + eps (c = 1), so each
+    kind keeps its own order; when both are 0, eps and c cancel.  Expanding with an
+    unpaired pole raises ``PoleError``, as a Gamma at an odd two_x <= 0 does at once,
+    and ``sqrt_surd`` raises on a negative product.
 
     The exponents live in one integer, ``packed``, the sum of e_i * 2**(64 i) over the
     primes with signed e_i: multiplying by m!**e adds e times the cached packed
@@ -378,17 +385,20 @@ class FactoredProduct:
     that may have wrapped.
     """
 
-    __slots__ = ("packed", "bound", "top", "pi_half")
+    __slots__ = ("packed", "bound", "top", "pi_half", "sign", "factorial_poles", "gamma_poles")
 
     def __init__(self) -> None:
         self.packed = 0
         self.bound = 0  # bounds |e_i| in every slot
         self.top = 1  # the largest m joined: its primes cover every nonzero slot
         self.pi_half = 0
+        self.sign = 1
+        self.factorial_poles = self.gamma_poles = 0  # orders of 1/eps
 
     def mul_factorial(self, m: int, e: int = 1) -> "FactoredProduct":
         if m < 0:
-            raise ValueError(f"factorial of negative {m}")
+            self.factorial_poles += e
+            return self._mul_residue(-m - 1, e)
         self.packed += _factorial_packed(m) * e
         self.bound += abs(e) * m
         if m > self.top:
@@ -396,11 +406,14 @@ class FactoredProduct:
         return self
 
     def mul_gamma(self, two_x: int, e: int = 1) -> "FactoredProduct":
-        """Multiply by Gamma(two_x / 2)**e for an integer two_x >= 1."""
-        if two_x < 1:
-            raise PoleError(f"gamma at {two_x}/2 is not a positive half-integer point")
+        """Multiply by Gamma(two_x / 2)**e; an even two_x <= 0 joins as a pole."""
         if two_x % 2 == 0:
+            if two_x <= 0:
+                self.gamma_poles += e
+                return self._mul_residue(-two_x // 2, e)
             return self.mul_factorial(two_x // 2 - 1, e)
+        if two_x < 0:
+            raise PoleError(f"gamma at {two_x}/2 is not a positive half-integer point")
         # Gamma(m + 1/2) = (2m)! / (4**m m!) sqrt(pi); 4**m is 2m in slot 0, the prime 2
         m = two_x // 2
         self.packed += (_factorial_packed(2 * m) - _factorial_packed(m) - 2 * m) * e
@@ -410,8 +423,16 @@ class FactoredProduct:
         self.pi_half += e
         return self
 
+    def _mul_residue(self, k: int, e: int) -> "FactoredProduct":
+        """Multiply by ((-1)**k / k!)**e, the residue of Gamma(-k) without its 1/(c eps)."""
+        if k * e % 2:
+            self.sign = -self.sign
+        return self.mul_factorial(k, -e)
+
     def _exponents(self) -> zip:
-        """(prime, exponent) for every prime up to ``top``."""
+        """(prime, exponent) for every prime up to ``top``; the poles must have paired."""
+        if self.factorial_poles or self.gamma_poles:
+            raise PoleError(f"unpaired poles: order {self.factorial_poles} of factorials, {self.gamma_poles} of Gammas")
         if self.bound >= _SLOT_LIMIT:
             raise OverflowError(f"a prime exponent may exceed the packed slot ({self.bound} >= 2**63)")
         primes = primes_up_to(self.top)
@@ -428,6 +449,9 @@ class FactoredProduct:
         if other.top > self.top:
             self.top = other.top
         self.pi_half += other.pi_half
+        self.sign *= other.sign
+        self.factorial_poles += other.factorial_poles
+        self.gamma_poles += other.gamma_poles
         return self
 
     def to_fraction(self) -> Fraction:
@@ -439,15 +463,18 @@ class FactoredProduct:
                 num *= p**e
             elif e < 0:
                 den *= p**-e
-        return Fraction(num, den)
+        return Fraction(self.sign * num, den)
 
     def sqrt_surd(self) -> SurdValue:
-        """Exact square root as a SurdValue; requires a pi-free value."""
+        """Exact square root as a SurdValue; requires a pi-free, nonnegative value."""
         if self.pi_half != 0:
             raise ResidualSqrtPiError(f"residual sqrt(pi)**{self.pi_half} under sqrt")
+        exponents = self._exponents()
+        if self.sign < 0:
+            raise ArithmeticError("square root of a negative ledger")
         cnum = cden = 1
         rad = 1
-        for p, e in self._exponents():
+        for p, e in exponents:
             if e % 2:
                 # p**e = p**(e-1) * p, the stray p joins the radicand
                 rad *= p

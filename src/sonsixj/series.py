@@ -43,8 +43,8 @@ class SeriesTable(NamedTuple):
 
     The prefactor of the sum is read from the same table: ``factorials`` are the
     six r_ik whose factorials divide it, ``shifted`` the six r_ik that enter as
-    Gamma(r_ik + tau + 1) (as (n - r_ik + 1)! denominators at rank -2n), and
-    ``lead_alpha`` the alpha of its leading factorial.
+    Gamma(r_ik + tau), ``lead_alpha`` the alpha of its leading factorial, and
+    its sign is (-1)**parity.
     """
 
     m1: int
@@ -58,13 +58,14 @@ class SeriesTable(NamedTuple):
     factorials: tuple[int, ...]
     shifted: tuple[int, ...]
     lead_alpha: int
+    parity: int
 
 
 def series_table(arr: RArray, method: str) -> SeriesTable:
     """The argument table of method ``A``, ``B`` or ``C`` on the half-sum array."""
     (r11, r12, r13, r14), (r21, r22, r23, r24), (r31, r32, r33, r34) = arr.rows
     a1, a2, a3, a4 = arr.alpha
-    b1, b2, _ = arr.beta
+    b1, b2, b3 = arr.beta
     if method == "A":
         return SeriesTable(
             r11, r13,
@@ -76,7 +77,7 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             couple_down=(1 - r21, -1, -1),
             factorials=(r11, r12, r13, r14, r21, r33),
             shifted=(r22, r23, r24, r32, r33, r34),
-            lead_alpha=a3)
+            lead_alpha=a3, parity=(a1 - a3) % 2)
     if method == "B":
         return SeriesTable(
             r11, r31,
@@ -88,7 +89,7 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             couple_down=(r34 + 1, 0, -1),
             factorials=(r11, r12, r14, r21, r31, r33),
             shifted=(r12, r22, r23, r24, r33, r34),
-            lead_alpha=a1)
+            lead_alpha=a1, parity=(b1 - b3) % 2)
     if method == "C":
         return SeriesTable(
             r11, r31,
@@ -100,7 +101,7 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             couple_down=(r32 + 1, 0, -1),
             factorials=(r11, r12, r21, r31, r33, r34),
             shifted=(r22, r23, r24, r32, r33, r34),
-            lead_alpha=a1)
+            lead_alpha=a1, parity=(b1 - b3) % 2)
     raise ValueError(f"unknown series method {method!r}")
 
 

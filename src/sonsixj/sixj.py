@@ -19,12 +19,13 @@ Each method multiplies its value by ``_abcdef(labels)``, a positive rational tha
 ``assemble_sixj`` divides back out.  The production path (the prefactors of ``A``,
 ``B``, ``C`` and of the closed form, ``threej_zero`` and ``assemble_sixj``) forms its
 Gamma and factorial products in one ``exact.FactoredProduct`` ledger per call, with
-every Gamma argument passed doubled, as an integer; the assembly adds the four
-squared triangular factors from ``_nabla_sq``, a bounded cache of one ledger per
-(n, triad).  The Gamma-product sums pass their arguments doubled too, but make
-each lattice term and the prefactor one call of the check paths'
-``exact.gamma_ratio_doubled``, with one Fraction per nonzero term; they use
-neither the ledger nor ``series``.
+every Gamma argument passed doubled, as an integer.  The series prefactor
+(``series_prefactor``) and the squared root block (``root_block_sq``, four squared
+triangular factors from ``_nabla_sq``, a bounded cache of one ledger per (rank,
+triad)) take the rank N: ``sixj`` calls them at N = n, ``spn.u_sp`` at N = -2n.  The
+Gamma-product sums pass their arguments doubled too, but make each lattice term
+and the prefactor one call of the check paths' ``exact.gamma_ratio_doubled``, with
+one Fraction per nonzero term; they use neither the ledger nor ``series``.
 
 ``select_method`` walks the 144 row and column permutations of the half-sum array for
 the cheapest production evaluation (a closed form, ``A`` or ``B``; the check paths are
@@ -55,7 +56,7 @@ from .labels import (
     shelepin,
     triangle_ok,
 )
-from .series import double_sum, series_table
+from .series import SeriesTable, double_sum, series_table
 
 
 def _check_n(n: int, allow_n3: bool) -> None:
@@ -162,6 +163,27 @@ def _abcdef(labels: SixJLabels) -> Fraction:
     return Fraction(prod, 64)
 
 
+def series_prefactor(arr: RArray, table: SeriesTable, rank: int) -> FactoredProduct:
+    """The signed prefactor of the table's double series at rank N (2 tau = N - 2), as a ledger.
+
+    At N = n it is finite; at the Sp(2n) rank N = -2n its poles pair in the ledger.
+    """
+    _, a2, a3, a4 = arr.alpha
+    fp = FactoredProduct()
+    fp.mul_factorial(table.lead_alpha + rank - 3)
+    fp.mul_factorial(rank - 3, -1)
+    for m in table.factorials:
+        fp.mul_factorial(m, -1)
+    for r in table.shifted:
+        fp.mul_gamma(2 * r + rank - 2)  # Gamma(r + tau)
+    for a in (a2, a3, a4):
+        fp.mul_gamma(2 * a + rank, -1)  # Gamma(a + tau + 1)
+    fp.mul_gamma(rank, -3)  # Gamma(tau + 1)**-3
+    if table.parity:
+        fp.sign = -fp.sign
+    return fp
+
+
 def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     n = labels.n
     arr = shelepin(labels)
@@ -169,21 +191,7 @@ def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:
     total, terms = double_sum(table, n - 2)
     if total == 0:
         return Fraction(0), terms
-    a1, a2, a3, a4 = arr.alpha
-    b1, _, b3 = arr.beta
-    odd = (a1 - a3) % 2 if variant == "A" else (b1 - b3) % 2
-    fp = FactoredProduct()
-    fp.mul_factorial(table.lead_alpha + n - 3)
-    fp.mul_factorial(n - 3, -1)
-    for m in table.factorials:
-        fp.mul_factorial(m, -1)
-    for r in table.shifted:
-        fp.mul_gamma(2 * r + n - 2)  # Gamma(r + tau)
-    for a in (a2, a3, a4):
-        fp.mul_gamma(2 * a + n, -1)  # Gamma(a + tau + 1)
-    fp.mul_gamma(n, -3)
-    value = fp.to_fraction() * total * _abcdef(labels)
-    return (-value if odd else value), terms
+    return series_prefactor(arr, table, n).to_fraction() * total * _abcdef(labels), terms
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +440,20 @@ def select_method(labels: SixJLabels) -> MethodChoice:
 # assembly of the full symbol
 # ---------------------------------------------------------------------------
 
+def root_block_sq(six: tuple[int, ...], rank: int) -> FactoredProduct:
+    """The squared root block of labels (a, b, e, d, c, f) at rank N, as a ledger.
+
+    Positive at N = n; at N = -2n its poles pair, and it is negative on about half the sets.
+    """
+    a, b, e, d, c, f = six
+    fp = FactoredProduct()
+    for triad in ((a, b, e), (a, c, f), (b, d, f), (c, d, e)):
+        fp *= _nabla_sq(rank, *triad)
+    fp.mul_factorial(rank - 3, 4)
+    fp.mul_gamma(rank, 8)
+    return fp
+
+
 @dataclass(frozen=True)
 class SixJValue:
     value: SurdValue
@@ -444,14 +466,8 @@ def assemble_sixj(c_value: Fraction, labels: SixJLabels) -> SurdValue:
     """Combine the rational core with the four triangular factors into the symbol."""
     if c_value == 0:
         return SurdValue.zero()
-    a, b, e, d, c, f, n = labels
-    fp = FactoredProduct()
-    for triad in ((a, b, e), (a, c, f), (b, d, f), (c, d, e)):
-        fp *= _nabla_sq(n, *triad)
-    fp.mul_factorial(n - 3, 4)
-    fp.mul_gamma(n, 8)
     # every evaluator multiplies its value by _abcdef(labels) > 0
-    return fp.sqrt_surd() * (c_value / _abcdef(labels))
+    return root_block_sq(labels.six, labels.n).sqrt_surd() * (c_value / _abcdef(labels))
 
 
 DEFAULT_CACHE_SIZE = 65536

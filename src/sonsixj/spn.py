@@ -1,19 +1,19 @@
 """Recoupling coefficients of Sp(2n) with six antisymmetric irreps.
 
 A single-column irrep of Sp(2n) is labelled by its column height nu.  The
-recoupling coefficient for six such irreps is a rescaled orthogonal 6j-symbol
-continued to rank -2n.  The double sums are the SO(n) series of methods A, B
-and C themselves: the one kernel in ``series`` evaluated at rank -2n, where
-tau = -n - 1, so that every Pochhammer factor is an exact integer and any term
-whose factorial-ratio expansion needs a negative-argument factorial in a
-denominator is zero.
+recoupling coefficient for six such irreps is the orthogonal 6j-symbol of the
+formal group SO(N) at N = -2n, computed by the SO(N) code itself: the series of
+methods A, B and C in ``series`` at tau = -n - 1, where every term is an exact
+integer, and ``sixj.series_prefactor`` and ``sixj.root_block_sq`` at N = -2n,
+whose poles pair in the ledger.  With C the signed series and Q the squared root
+block, negative on about half the label sets, u_sp = C sqrt(d_e d_f |Q|).
 
-Conventions fixed throughout: the overall sign of ``u_sp`` is (-1)**beta1
-(with the companion exponent beta2 entering the column-swap relation of
-``sp_symmetry_transform``, whose phase then collapses to +1).  Under this
-pair of choices the dimension-renormalized symbol ``sp_renormalized`` is
-real and invariant under all 24 classical rearrangements of the label
-array, with no residual sign.
+The sign is derived, not chosen: the series' sign parity times the sign of the
+prefactor's residues, which comes out as (-1)**beta1 for series a and b and
+(-1)**beta3 for c.  With it, the column-swap relation of ``sp_symmetry_transform``
+has phase +1, and ``sp_renormalized`` is real and invariant, with no residual
+sign, under all 144 rearrangements of ``labels.symmetry_orbit``, which contain the
+24 classical rearrangements of the label array.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Iterator
 from .exact import FactoredProduct, SurdValue
 from .labels import RArray, SixJLabels, admissible, require_int_labels, shelepin
 from .series import double_sum, series_table, termwise
+from .sixj import root_block_sq, series_prefactor
 
 __all__ = [
     "SP_METHODS",
@@ -34,7 +35,6 @@ __all__ = [
     "sp_admissible",
     "sp_renormalized",
     "sp_sum_terms",
-    "sp_symmetry_orbit",
     "sp_symmetry_transform",
     "u_sp",
 ]
@@ -70,14 +70,16 @@ def dim_sp(n: int, nu: int) -> int:
     return d
 
 
-def _mul_dim_sp(fp: FactoredProduct, n: int, nu: int) -> FactoredProduct:
-    """Multiply the ledger by dim_sp(n, nu) = 2 (n - nu + 1) (2n + 1)! / (nu! (2n - nu + 2)!)."""
-    fp.mul_factorial(2)
-    fp.mul_factorial(n - nu + 1)
-    fp.mul_factorial(n - nu, -1)
-    fp.mul_factorial(2 * n + 1)
-    fp.mul_factorial(nu, -1)
-    fp.mul_factorial(2 * n - nu + 2, -1)
+def _mul_dims_ef(fp: FactoredProduct, labels: SpLabels) -> FactoredProduct:
+    """Multiply the ledger by d_e d_f, each dim_sp(n, nu) = 2 (n - nu + 1) (2n + 1)! / (nu! (2n - nu + 2)!)."""
+    n = labels.n
+    for nu in (labels.e, labels.f):
+        fp.mul_factorial(2)
+        fp.mul_factorial(n - nu + 1)
+        fp.mul_factorial(n - nu, -1)
+        fp.mul_factorial(2 * n + 1)
+        fp.mul_factorial(nu, -1)
+        fp.mul_factorial(2 * n - nu + 2, -1)
     return fp
 
 
@@ -107,31 +109,6 @@ def sp_sum_terms(arr: RArray, n: int, method: str) -> Iterator[tuple[tuple[int, 
     return termwise(series_table(arr, method.upper()), -2 * n - 2)
 
 
-def _norm_sq(labels: SpLabels, arr: RArray) -> FactoredProduct:
-    """The ledger of d_e d_f times the normalization product, the square of the root block.
-
-    Every factorial argument here is nonnegative for admissible labels: the
-    triad half-sums obey alpha_k <= n, and each r_ik is at most the smallest
-    label in a pair bounded by an alpha, so r_ik <= n as well.
-    """
-    n = labels.n
-    fp = FactoredProduct()
-    _mul_dim_sp(fp, n, labels.e)
-    _mul_dim_sp(fp, n, labels.f)
-    for row in arr.rows:
-        for rik in row:
-            if rik < 0 or n + 1 - rik < 0:
-                raise AssertionError(f"normalization factorial argument below zero: r={rik}, n={n}")
-            fp.mul_factorial(rik)
-            fp.mul_factorial(n + 1 - rik)
-    for ak in arr.alpha:
-        if n - ak < 0:
-            raise AssertionError(f"normalization factorial argument below zero: alpha={ak}, n={n}")
-        fp.mul_factorial(2 * n + 2 - ak)
-        fp.mul_factorial(n - ak, -1)
-    return fp
-
-
 def u_sp(labels: SpLabels, method: str = "a") -> SpU:
     """Recoupling coefficient of Sp(2n) for six single-column irreps.
 
@@ -151,23 +128,20 @@ def u_sp(labels: SpLabels, method: str = "a") -> SpU:
     arr = _sp_array(labels)
     if arr is None:
         return SpU(SurdValue.zero(), labels, method)
-    _, a2, a3, a4 = arr.alpha
     table = series_table(arr, method.upper())
     # the integer terms of sp_sum_terms, summed by the fused kernel
     total, _ = double_sum(table, -2 * n - 2)
     if total == 0:
         return SpU(SurdValue.zero(), labels, method)
-    # the rational prefactor joins the root block squared, so the factorials cancel
-    # as exponents and nothing of size n! is expanded
-    fp = _norm_sq(labels, arr)
-    for m in (2 * n + 2, n, 2 * n + 2 - table.lead_alpha, *table.factorials):
-        fp.mul_factorial(m, -2)
-    for v in table.shifted:
-        fp.mul_factorial(n - v + 1, -2)
-    for a in (a2, a3, a4):
-        fp.mul_factorial(n - a, 2)
-    sign_exp = arr.beta[2] if method == "c" else arr.beta[0]
-    return SpU(fp.sqrt_surd() * (-total if sign_exp % 2 else total), labels, method)
+    # the SO(N) prefactor and root block at N = -2n, in one ledger under the square
+    # root, so the factorials cancel as exponents and nothing of size n! is expanded
+    fp = series_prefactor(arr, table, -2 * n)
+    if fp.sign < 0:
+        total = -total
+    fp *= fp  # the prefactor squared, positive
+    fp *= root_block_sq(labels.six, -2 * n)
+    fp.sign = 1  # |Q|: Q < 0 on about half the label sets
+    return SpU(_mul_dims_ef(fp, labels).sqrt_surd() * total, labels, method)
 
 
 def sp_symmetry_transform(labels: SpLabels) -> tuple[SpLabels, int]:
@@ -189,35 +163,9 @@ def sp_symmetry_transform(labels: SpLabels) -> tuple[SpLabels, int]:
     return swapped, (-1 if exponent % 2 else 1)
 
 
-def sp_symmetry_orbit(labels: SpLabels) -> list[SpLabels]:
-    """The 24 rearrangements under which the renormalized symbol is invariant.
-
-    Columns of the array {a b e; d c f} may be permuted freely, and the top
-    and bottom entries of any two columns may be exchanged simultaneously.
-    """
-    a, b, e, d, c, f = labels.six
-    cols = ((a, d), (b, c), (e, f))
-    out = []
-    for p0, p1, p2 in (
-        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-    ):
-        ordered = (cols[p0], cols[p1], cols[p2])
-        for swap in ((), (0, 1), (0, 2), (1, 2)):
-            arranged = [
-                (lo, hi) if i in swap else (hi, lo)
-                for i, (hi, lo) in enumerate(ordered)
-            ]
-            (na, nd), (nb, nc), (ne, nf) = arranged
-            out.append(SpLabels(na, nb, ne, nd, nc, nf, labels.n))
-    return out
-
-
 def sp_renormalized(labels: SpLabels, method: str = "a") -> SurdValue:
-    """u_sp / sqrt(d_e d_f): real and invariant under all 24 rearrangements."""
-    coeff = u_sp(labels, method)
-    if coeff.value.is_zero():
-        return SurdValue.zero()
-    fp = FactoredProduct()
-    _mul_dim_sp(fp, labels.n, labels.e)
-    _mul_dim_sp(fp, labels.n, labels.f)
-    return coeff.value / fp.sqrt_surd()
+    """u_sp / sqrt(d_e d_f): real and invariant under all 144 rearrangements of the array."""
+    value = u_sp(labels, method).value
+    if value.is_zero():  # d_e or d_f may be undefined off the admissible sets
+        return value
+    return value / _mul_dims_ef(FactoredProduct(), labels).sqrt_surd()

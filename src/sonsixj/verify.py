@@ -40,7 +40,6 @@ from .spn import (
     dim_sp,
     sp_admissible,
     sp_renormalized,
-    sp_symmetry_orbit,
     sp_symmetry_transform,
     u_sp,
 )
@@ -367,8 +366,9 @@ def run_sp(report: SuiteReport, n_values: Sequence[int] = (1, 2, 3)) -> None:
 
     Methods agree everywhere; the coefficient vanishes exactly when a triad
     half-sum exceeds n; the column-swap relation holds with its computed
-    phase; the renormalized symbol is invariant over all 24 rearrangements;
-    all values are real.
+    phase; the renormalized symbol is invariant over the 144 rearrangements of
+    the array (``labels.symmetry_orbit``); all values are real.  Here n is the
+    Sp(2n) rank, and the labels run over every height up to it.
     """
     for n in n_values:
         labs = [SpLabels(*six, n) for six in admissible_sixes(n)]
@@ -394,9 +394,9 @@ def run_sp(report: SuiteReport, n_values: Sequence[int] = (1, 2, 3)) -> None:
                 if lhs != rhs * phase:
                     report.fail(f"{lab.six} n={n}: column-swap relation broke")
                 s_ref = sp_renormalized(lab, "a")
-                for variant in sp_symmetry_orbit(lab):
+                for variant in symmetry_orbit(lab):
                     report.checks += 1
-                    if sp_renormalized(variant, "c") != s_ref:
+                    if sp_renormalized(SpLabels(*variant), "c") != s_ref:
                         report.fail(f"{lab.six} n={n}: renormalized symbol changed at {variant.six}")
             else:
                 if not va.is_zero():

@@ -358,6 +358,18 @@ def test_exit_code_bad_cache_env(capsys, monkeypatch):
     assert sixj_mod.cache_info().maxsize == 64
 
 
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["sixj", "--n", "6", "--format", "json", "--", "2", "2", "2", "2", "2", "2"]
+    code, out = run_cli(capsys, [*argv, "--method", "B"])
+    assert code == 0 and json.loads(out)["method_used"] == "B"
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["method_used"] == "NearStretchedE"  # auto again
+    code, out = run_cli(capsys, ["sixj", "--help"])
+    assert code == 0 and out.startswith("usage: sonsixj sixj")
+    assert run_cli(capsys, ["sp_u", "--n", "2", "--", "1", "1", "2", "1", "1", "2"]) == (0, "3/4\n")
+
+
 def test_exit_code_closed_form_off_its_label_set(capsys):
     code = main(["sixj", "--n", "6", "--method", "StretchedE", "--", "2", "2", "2", "2", "2", "2"])
     out, err = capsys.readouterr()

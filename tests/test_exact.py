@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -340,14 +341,70 @@ def test_packed_ledger_overflow_raises():
 
 
 def test_factored_product_rejects_nonpositive_factors():
-    for two_x in (0, -1, -2, -7):
+    # Gamma at a negative half-integer raises at once; a pole joins the ledger and
+    # raises when the ledger is expanded with its order unbalanced
+    for two_x in (-1, -7):
         with pytest.raises(PoleError):
             FactoredProduct().mul_gamma(two_x)
-    for m in (-1, -6):
-        with pytest.raises(ValueError):
-            FactoredProduct().mul_factorial(m)
-        with pytest.raises(ValueError):
-            FactoredProduct().mul_factorial(m, -1)
+    for fill in (lambda fp: fp.mul_gamma(0), lambda fp: fp.mul_gamma(-2, -1),
+                 lambda fp: fp.mul_factorial(-1), lambda fp: fp.mul_factorial(-6, -1)):
+        fp = fill(FactoredProduct().mul_factorial(3))
+        with pytest.raises(PoleError):
+            fp.to_fraction()
+        with pytest.raises(PoleError):
+            fp.sqrt_surd()
+
+
+def _mul_pole(fp: FactoredProduct, pole_class: str, k: int, e: int) -> None:
+    """Gamma(-k)**e, as the factorial (-k - 1)! or as the Gamma at doubled -2k."""
+    if pole_class == "factorial":
+        fp.mul_factorial(-k - 1, e)
+    else:
+        fp.mul_gamma(-2 * k, e)
+
+
+_POLE_PAIRS = ([((k,), (j,)) for k in range(6) for j in range(6)]
+               + [((k1, k2), (j1, j2)) for k1 in (0, 3) for k2 in (1, 4) for j1 in (0, 2) for j2 in (2, 5)]
+               + [((k, k), (j, j)) for k in (1, 2) for j in (0, 3)])  # squared: exponent 2
+
+
+@pytest.mark.parametrize("pole_class", ["factorial", "gamma"])
+def test_paired_poles_equal_the_check_side_pole_rule(pole_class):
+    # Gamma(-k) over Gamma(-j) among finite factors, against gamma_ratio_doubled on the
+    # same doubled arguments: 7, 10 and the -2k over 5, 3 and the -2j
+    for ks, js in _POLE_PAIRS:
+        nums, dens = [7, 10, *(-2 * k for k in ks)], [5, 3, *(-2 * j for j in js)]
+        fp = FactoredProduct().mul_gamma(7).mul_gamma(10).mul_gamma(5, -1).mul_gamma(3, -1)
+        for k, e in Counter(ks).items():
+            _mul_pole(fp, pole_class, k, e)
+        for j, e in Counter(js).items():
+            _mul_pole(fp, pole_class, j, -e)
+        num, den, pi_half = gamma_ratio_doubled(nums, dens)
+        assert fp.pi_half == pi_half, (ks, js)
+        fp.mul_gamma(1, -pi_half)  # Gamma(1/2) = sqrt(pi)
+        assert fp.to_fraction() == Fraction(num, den), (ks, js)
+        square = FactoredProduct()
+        square *= fp
+        square *= fp
+        assert square.sqrt_surd() == SurdValue.of_rational(abs(Fraction(num, den))), (ks, js)
+        if num < 0:
+            with pytest.raises(ArithmeticError, match="negative"):
+                fp.sqrt_surd()
+
+
+def test_unpaired_poles_raise_at_expansion():
+    # a pole with no partner, and a factorial pole against a Gamma pole: the two classes
+    # carry different multiples of the shift, so they never pair with each other
+    lone = FactoredProduct().mul_gamma(-4).mul_factorial(5)
+    crossed = FactoredProduct().mul_factorial(-3).mul_gamma(-4, -1)
+    for fp in (lone, crossed):
+        with pytest.raises(PoleError, match="unpaired"):
+            fp.to_fraction()
+        with pytest.raises(PoleError, match="unpaired"):
+            fp.sqrt_surd()
+    # partners in each class: (-3)! / (-2)! = -1/2 and Gamma(-3) / Gamma(-2) = -1/3
+    crossed *= FactoredProduct().mul_factorial(-2, -1).mul_gamma(-6)
+    assert crossed.to_fraction() == Fraction(1, 6)
 
 
 def test_factored_products_in_threads_agree():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sonsixj.exact import SurdValue, surd_normalize
-from sonsixj.labels import TRIADS, SixJLabels, admissible_sixes, shelepin
+from sonsixj.labels import TRIADS, SixJLabels, admissible_sixes, parity_ok, shelepin, symmetry_orbit
 from sonsixj.oracle import su2_6j
 from sonsixj.spn import (
     SP_METHODS,
@@ -18,7 +18,6 @@ from sonsixj.spn import (
     sp_admissible,
     sp_renormalized,
     sp_sum_terms,
-    sp_symmetry_orbit,
     sp_symmetry_transform,
     u_sp,
 )
@@ -282,13 +281,42 @@ def test_column_swap_relation():
         assert lhs == rhs, lab
 
 
+def sp_orbit(lab):
+    """The distinct members of the 144-element symmetry orbit, as SpLabels, sorted."""
+    return sorted(SpLabels(*member) for member in symmetry_orbit(lab))
+
+
+def classical_rearrangements(lab):
+    """The 24 classical rearrangements of {a b e; d c f}, written out: the columns
+    permuted, and the top and bottom entries of two columns exchanged at once."""
+    a, b, e, d, c, f = lab.six
+    out = []
+    for cols in itertools.permutations(((a, d), (b, c), (e, f))):
+        for swap in ((), (0, 1), (0, 2), (1, 2)):
+            (na, nd), (nb, nc), (ne, nf) = (col[::-1] if i in swap else col for i, col in enumerate(cols))
+            out.append(SpLabels(na, nb, ne, nd, nc, nf, lab.n))
+    return out
+
+
+def test_classical_rearrangements_lie_in_the_orbit():
+    sets = 0
+    for n in range(1, 5):
+        for lab in all_sp_labels(n):
+            classical = classical_rearrangements(lab)
+            assert len(classical) == 24
+            assert set(classical) <= set(sp_orbit(lab)), lab
+            sets += 1
+    assert sets == 493
+
+
 def test_renormalized_orbit_invariance():
     for lab in [SpLabels(1, 1, 2, 1, 1, 2, 2), SpLabels(1, 2, 1, 2, 1, 1, 2),
                 SpLabels(2, 2, 2, 2, 2, 2, 3), SpLabels(1, 2, 3, 2, 1, 3, 3)]:
-        orbit = sp_symmetry_orbit(lab)
-        assert len(orbit) == 24
+        members = classical_rearrangements(lab)
+        if parity_ok(lab):  # the 144 act on the half-sum array, which needs even triad sums
+            members += sp_orbit(lab)
         ref = sp_renormalized(lab, "a")
-        for member in orbit:
+        for member in members:
             assert sp_renormalized(member, "b") == ref, (lab, member)
 
 
@@ -299,7 +327,7 @@ def test_u_sp_at_twin_prime_rank():
     expected = surd_normalize(Fraction(3, 501491110), 9314846920689986)
     assert {u_sp(lab, m).value for m in SP_METHODS} == {expected}
     ref = sp_renormalized(lab)
-    for member in sp_symmetry_orbit(lab)[:6]:
+    for member in sp_orbit(lab)[:6]:
         assert sp_renormalized(member) == ref, member
 
 
