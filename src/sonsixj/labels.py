@@ -133,17 +133,17 @@ class RArray:
         return tuple(tuple(b - a for a in self.alpha) for b in self.beta)
 
     def labels(self, n: int) -> SixJLabels:
-        a1, a2, a3, a4 = self.alpha
-        b1, b2, b3 = self.beta
-        return SixJLabels(
-            a=a3 + a4 - b3,
-            b=a2 + a4 - b2,
-            e=a1 + a4 - b1,
-            d=a1 + a2 - b3,
-            c=a1 + a3 - b2,
-            f=a2 + a3 - b1,
-            n=n,
-        )
+        return array_labels(self.alpha, self.beta, n)
+
+
+def array_labels(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> SixJLabels:
+    """The labels {a b e; d c f} of the half-sum array (alpha, beta): the inverse of ``shelepin``.
+
+    Takes plain tuples, so that no ``RArray`` is built per rearrangement.
+    """
+    a1, a2, a3, a4 = alpha
+    b1, b2, b3 = beta
+    return SixJLabels(a3 + a4 - b3, a2 + a4 - b2, a1 + a4 - b1, a1 + a2 - b3, a1 + a3 - b2, a2 + a3 - b1, n)
 
 
 def shelepin(labels: SixJLabels) -> RArray:
@@ -157,16 +157,11 @@ def shelepin(labels: SixJLabels) -> RArray:
 
 
 def orbit_variants(labels: SixJLabels) -> list[SixJLabels]:
-    """All 144 row/column rearrangements as label sets (with repetitions), rows outermost.
-
-    Each is ``RArray.labels`` of a permuted array, written out in integers so that no
-    ``RArray`` is built per variant.
-    """
+    """All 144 row/column rearrangements as label sets (with repetitions), rows outermost."""
     arr = shelepin(labels)
     n = labels.n
-    return [SixJLabels(a3 + a4 - b3, a2 + a4 - b2, a1 + a4 - b1, a1 + a2 - b3, a1 + a3 - b2, a2 + a3 - b1, n)
-            for b1, b2, b3 in permutations(arr.beta)
-            for a1, a2, a3, a4 in permutations(arr.alpha)]
+    return [array_labels(alpha, beta, n)
+            for beta in permutations(arr.beta) for alpha in permutations(arr.alpha)]
 
 
 def symmetry_orbit(labels: SixJLabels) -> frozenset[SixJLabels]:

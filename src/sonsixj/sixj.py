@@ -27,12 +27,13 @@ Gamma-product sums pass their arguments doubled too, but make each lattice term
 and the prefactor one call of the check paths' ``exact.gamma_ratio_doubled``, with
 one Fraction per nonzero term; they use neither the ledger nor ``series``.
 
-``select_method`` walks the 144 row and column permutations of the half-sum array for
-the cheapest production evaluation (a closed form, ``A`` or ``B``; the check paths are
-never chosen); ``sixj`` ties everything together with a ``functools.lru_cache``
-keyed by ``labels.orbit_key`` (sorted alpha, sorted beta, n), one entry per symmetry
-orbit.  ``configure_cache``, ``cache_clear`` and ``cache_info`` resize, empty and report
-that cache.
+``select_method`` picks the cheapest production evaluation over the symmetry orbit
+(a closed form, ``A`` or ``B``; the check paths are never chosen) by a closed-form
+rule on the sorted alpha and beta of ``labels.orbit_key``, so it walks none of the
+144 row and column permutations.  ``sixj`` ties everything together with a
+``functools.lru_cache`` keyed by ``orbit_key`` (sorted alpha, sorted beta, n), one
+entry per symmetry orbit.  ``configure_cache``, ``cache_clear`` and ``cache_info``
+resize, empty and report that cache.
 """
 from __future__ import annotations
 
@@ -40,7 +41,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
 from math import factorial, perm
 from typing import NamedTuple
 
@@ -49,6 +49,7 @@ from .labels import (
     RArray,
     SixJLabels,
     admissible,
+    array_labels,
     canonical_representative,  # unused here; the benchmark's tracer wraps it under this name
     orbit_key,
     require_int_labels,
@@ -390,7 +391,7 @@ def c_alpha(labels: SixJLabels, method: str = "A", allow_n3: bool = False) -> CA
 
 
 # ---------------------------------------------------------------------------
-# method selection over the symmetry orbit
+# method selection over the symmetry orbit, from the orbit key
 # ---------------------------------------------------------------------------
 
 class MethodChoice(NamedTuple):
@@ -399,41 +400,42 @@ class MethodChoice(NamedTuple):
     variant: SixJLabels
 
 
-_SELECTABLE = ("StretchedE", "NearStretchedE", "A", "B")  # production arithmetic only
-_STRETCHED, _NEAR_STRETCHED, _A, _B = range(len(_SELECTABLE))  # ranks for tie-breaks
-
-
 def select_method(labels: SixJLabels) -> MethodChoice:
-    """Cheapest (method, orbit variant) pair; deterministic tie-breaking.
+    """Cheapest (method, orbit variant) pair by predicted terms, in closed form.
 
     Weighs the production methods only: the closed forms, A and B.  C costs what B
-    costs, and T3 and the factorial forms are check paths.  Walks the distinct row
-    and column permutations (at most 6 x 24) of the label set's array in plain
-    integers and keeps the least (predicted terms, method rank, variant.six); only
-    the winner becomes a SixJLabels.  Cost and rank travel as one int,
-    cost * len(_SELECTABLE) + rank.
+    costs, and T3 and the factorial forms are check paths.  On a variant with array
+    (alpha, beta), A sums (r11 + 1)(r13 + 1) terms and B (r11 + 1)(r31 + 1); the
+    closed forms apply at r11 = 0 (one term) and r11 = 1 (two).  With
+    x0 <= x1 <= x2 <= x3 the sorted alpha and y0 <= y1 <= y2 the sorted beta (the
+    fields of ``orbit_key``), and r = y0 - x3:
+
+    * r = 0 gives StretchedE (cost 1) and r = 1 NearStretchedE (cost 2), both at
+      beta (y0, y1, y2), alpha (x3, x2, x1, x0);
+    * otherwise A costs (r + 1)(y0 - x2 + 1) at beta (y0, y1, y2), alpha
+      (x3, x1, x2, x0), and B costs (r + 1)(y1 - x3 + 1) at beta (y0, y2, y1),
+      alpha (x3, x2, x1, x0); A wins a tie.
+
+    This is the least (cost, method, variant.six) over the orbit.  Every r_ik >= 0,
+    so r11 = b1 - a1 >= r; A's cost is least only at b1 = y0, {a1, a3} = {x3, x2},
+    and B's only at a1 = x3, {b1, b3} = {y0, y1}.  Among those arrays the labels
+    a = a3 + a4 - b3 and b = a2 + a4 - b2 are least at the variants above, so the
+    role-swapped ties (a1 = x2 for A, b1 = y1 for B) never win.  With sorted alpha
+    and beta, the labels are admissible exactly when r >= 0; r < 0 raises ValueError.
     """
-    arr = shelepin(labels)
-    slots = len(_SELECTABLE)
-    columns = tuple(dict.fromkeys(permutations(arr.alpha)))
-    best = best_six = None
-    for b1, b2, b3 in dict.fromkeys(permutations(arr.beta)):
-        for a1, a2, a3, a4 in columns:
-            r11 = b1 - a1
-            if r11 == 0:
-                key = slots + _STRETCHED
-            elif r11 == 1:
-                key = 2 * slots + _NEAR_STRETCHED  # A and B cost at least 2
-            else:
-                lattice = r11 + 1
-                key = min(lattice * (b1 - a3 + 1) * slots + _A, lattice * (b3 - a1 + 1) * slots + _B)
-            if best is not None and key > best:
-                continue
-            six = (a3 + a4 - b3, a2 + a4 - b2, a1 + a4 - b1, a1 + a2 - b3, a1 + a3 - b2, a2 + a3 - b1)
-            if best is None or key < best or six < best_six:
-                best, best_six = key, six
-    cost, rank = divmod(best, slots)
-    return MethodChoice(_SELECTABLE[rank], cost, labels.replace_six(best_six))
+    require_int_labels(labels)
+    x0, x1, x2, x3, y0, y1, y2, n = orbit_key(labels)
+    r = y0 - x3
+    if r < 0:
+        raise ValueError(f"label set {labels.six} is not admissible")
+    if r < 2:
+        return MethodChoice(("StretchedE", "NearStretchedE")[r], r + 1,
+                            array_labels((x3, x2, x1, x0), (y0, y1, y2), n))
+    cost_a = (r + 1) * (y0 - x2 + 1)
+    cost_b = (r + 1) * (y1 - x3 + 1)
+    if cost_a <= cost_b:
+        return MethodChoice("A", cost_a, array_labels((x3, x1, x2, x0), (y0, y1, y2), n))
+    return MethodChoice("B", cost_b, array_labels((x3, x2, x1, x0), (y0, y2, y1), n))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +482,7 @@ def _evaluate(key: tuple) -> tuple[SurdValue, str, int]:
     cost and variant.  The callees are module globals looked up on each call, so a
     wrapper put in their place (as perfbench/tracing.py does) sees every miss.
     """
-    labels = RArray(key[:4], key[4:7]).labels(key[7])
+    labels = array_labels(key[:4], key[4:7], key[7])
     choice = select_method(labels)
     ca = c_alpha(choice.variant, choice.method, allow_n3=True)  # sixj() checked n
     return assemble_sixj(ca.value, choice.variant), choice.method, choice.predicted_terms

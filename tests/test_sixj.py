@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sonsixj.exact import PoleError, ResidualSqrtPiError, SurdValue, surd_normalize
-from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, symmetry_orbit
+from sonsixj.labels import SixJLabels, admissible, admissible_sixes, shelepin, symmetry_orbit
+from sonsixj.series import series_table
 from sonsixj.sixj import (
     DEFAULT_CACHE_SIZE,
     METHODS,
@@ -210,6 +211,43 @@ def test_select_method_matches_orbit_scan_large_labels(rng, n):
     assert select_method(lab) == reference_select(lab)
 
 
+# the rungs (label size, n) of perfbench's large workload, drawn the way it draws them
+_LARGE_RUNGS = ((40, 7), (100, 10), (100, 50), (200, 10), (200, 11))
+
+
+def test_select_method_matches_orbit_scan_at_benchmark_scale():
+    rng = random.Random(20261020)
+    methods = set()
+    for size, n in _LARGE_RUNGS:
+        spread = max(4, size // 20)
+        for _ in range(6):
+            lab = None
+            while lab is None or not admissible(lab):
+                lab = SixJLabels(*(size + rng.randint(-spread, spread) for _ in range(6)), n)
+            choice = select_method(lab)
+            assert choice == reference_select(lab), lab
+            methods.add(choice.method)
+    assert methods == {"A", "B"}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_predicted_terms_is_the_kernel_lattice(n):
+    for six in admissible_sixes(6):
+        choice = select_method(SixJLabels(*six, n))
+        if choice.method in ("A", "B"):
+            table = series_table(shelepin(choice.variant), choice.method)
+            assert choice.predicted_terms == (table.m1 + 1) * (table.m2 + 1), six
+
+
+@pytest.mark.parametrize("six, message", [((4, 0, 2, 0, 0, 0), "is not admissible"),
+                                          ((2, 2, 6, 2, 2, 2), "is not admissible"),
+                                          ((-1, 1, 0, 1, -1, 0), "is not admissible"),
+                                          ((1, 0, 0, 0, 0, 0), "odd triad sum")])
+def test_select_method_rejects_inadmissible_labels(six, message):
+    with pytest.raises(ValueError, match=message):
+        select_method(SixJLabels(*six, 6))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(rng=st.randoms(use_true_random=False), n=st.integers(4, 12))
 def test_auto_equals_every_forced_method(rng, n):
@@ -356,7 +394,7 @@ def test_non_int_labels_rejected(bad):
         fields = [1, 1, 0, 1, 1, 0, 6]
         fields[i] = bad
         lab = SixJLabels(*fields)
-        for call in (sixj, c_alpha, lambda x: sixj(x, method="B")):
+        for call in (sixj, c_alpha, lambda x: sixj(x, method="B"), select_method):
             with pytest.raises(ValueError, match=f"label {name} = "):
                 call(lab)
 
