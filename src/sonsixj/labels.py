@@ -94,7 +94,8 @@ def admissible_sixes(max_label: int) -> Iterator[tuple[int, int, int, int, int, 
     """Every admissible (a, b, e, d, c, f) with labels <= max_label, in lexicographic order.
 
     Each label after b runs only over the range its triads allow, so nothing of the
-    (max_label + 1)**6 product is built and then thrown away.
+    (max_label + 1)**6 product is built and then thrown away.  Steps of 2 keep
+    a + b + e and c + d + e even, so a + b + c + d is even and f's range fits both triads.
     """
     top = max_label + 1
     for a in range(top):
@@ -102,8 +103,6 @@ def admissible_sixes(max_label: int) -> Iterator[tuple[int, int, int, int, int, 
             for e in range(abs(a - b), min(a + b, max_label) + 1, 2):
                 for d in range(top):
                     for c in range(abs(d - e), min(d + e, max_label) + 1, 2):
-                        if (a + b + c + d) % 2:
-                            continue  # (a, c, f) and (b, d, f) would need f of two parities
                         for f in range(max(abs(a - c), abs(b - d)),
                                        min(a + c, b + d, max_label) + 1, 2):
                             yield a, b, e, d, c, f

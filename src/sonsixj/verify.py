@@ -6,8 +6,9 @@ tests both run these functions, so the checks exist in exactly one place.
 A suite is one function ``run_x(report, <range>)`` registered by ``@_suite(name)``,
 which adds it to SUITES in definition order and makes ``run_x(<range>)`` create,
 time and return the report.  The suites over every admissible label set at every
-n draw their label sets from ``_grid``.  All comparisons are exact (rational or
-surd equality); there are no tolerances anywhere.
+n draw their label sets from ``_grid``.  A suite names a symmetry orbit only by
+``labels.orbit_key``, the key the value cache uses.  All comparisons are exact
+(rational or surd equality); there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from itertools import islice
 from typing import Callable, Iterator, Sequence
 
-from .exact import surd_normalize
+from .exact import SurdValue, surd_normalize
 from .kdf import (
     DEPENDENCY_FAMILY,
     IndefinitePrefactorError,
@@ -32,7 +32,7 @@ from .kdf import (
     kdf_c_alpha,
     kdf_params_for,
 )
-from .labels import SixJLabels, admissible, admissible_sixes, shelepin, symmetry_orbit
+from .labels import SixJLabels, admissible, admissible_sixes, orbit_key, shelepin, symmetry_orbit
 from .oracle import require_even_n, sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
 from .sixj import c_alpha, cache_clear, select_method, sixj
 from .spn import (
@@ -139,9 +139,16 @@ def _suite(name: str) -> Callable[[Callable[..., None]], Callable[..., SuiteRepo
     return register
 
 
+def _require_so_n(n_values: Sequence[int]) -> None:
+    """Raise SuiteRangeError naming the least n if it is below 4, as the SO(n) suites need."""
+    if any(n < 4 for n in n_values):
+        raise SuiteRangeError(f"the SO(n) suites need n >= 4, got n = {min(n_values)}")
+
+
 def _grid(report: SuiteReport, n_values: Sequence[int], max_label: int) -> Iterator[SixJLabels]:
     """Every admissible label set with labels <= max_label at every n, n outermost;
-    notes the grid's size in the report once."""
+    notes the grid's size in the report once.  Rejects n < 4 before yielding anything."""
+    _require_so_n(n_values)
     sets = list(admissible_sixes(max_label))
     report.notes.append(f"{len(sets)} label sets, n in {list(n_values)}")
     return (SixJLabels(*six, n) for n in n_values for six in sets)
@@ -209,21 +216,26 @@ def run_symmetry(
 
     Every orbit variant is evaluated with a forced method (no cache, no
     canonicalization) so the invariance is a property of the formulas, not
-    of the lookup key.  A range with fewer than ``count`` distinct (labels, n)
-    draws is drawn until each has come up once.
+    of the lookup key.  A draw is keyed by ``orbit_key``, so no orbit is walked
+    twice.  A range of fewer than ``count`` orbits (the keys of the admissible
+    sets, counted up to ``count``, at each n) is drawn until each has come up.
     """
+    _require_so_n(n_values)
     rng = random.Random(seed)
+    per_n: set[tuple[int, ...]] = set()  # the range's orbits at one n, keyed at n = 0
+    for six in admissible_sixes(max_label):
+        per_n.add(orbit_key(SixJLabels(*six, 0)))
+        if len(per_n) == count:
+            break
+    target = min(count, len(per_n) * len(set(n_values)))
     seen: set[tuple[int, ...]] = set()
-    orbits = 0
-    target = min(count, len(list(islice(admissible_sixes(max_label), count))) * len(set(n_values)))
-    while orbits < target:
+    while len(seen) < target:
         n = rng.choice(list(n_values))
         lab = random_admissible(rng, n, max_label)
-        key = lab.six + (n,)
+        key = orbit_key(lab)
         if key in seen:
             continue
         seen.add(key)
-        orbits += 1
         orbit = sorted(symmetry_orbit(lab), key=lambda v: v.six)
         ref = sixj(lab, method="A").value
         spot = ("B", "C", "T3")
@@ -239,7 +251,7 @@ def run_symmetry(
                     report.fail(f"{lab.six} n={n} orbit variant {variant.six}: {method} broke")
         if sixj(lab).value != ref:
             report.fail(f"{lab.six} n={n}: auto-selected value differs from forced A")
-    report.notes.append(f"{orbits} orbits" + (", every draw the range holds" if orbits < count else ""))
+    report.notes.append(f"{len(seen)} orbits" + (", every orbit the range holds" if len(seen) < count else ""))
 
 
 @_suite("rationality")
@@ -268,6 +280,7 @@ def run_stretched(
     report: SuiteReport, n_values: Sequence[int] = (4, 5, 6, 7, 8, 9), max_label: int = 8
 ) -> None:
     """Closed forms for boundary couplings equal the general evaluator."""
+    _require_so_n(n_values)
     stretched = []
     near = []
     for six in admissible_sixes(max_label):
@@ -367,12 +380,21 @@ def run_sp(report: SuiteReport, n_values: Sequence[int] = (1, 2, 3)) -> None:
     Methods agree everywhere; the coefficient vanishes exactly when a triad
     half-sum exceeds n; the column-swap relation holds with its computed
     phase; the renormalized symbol is invariant over the 144 rearrangements of
-    the array (``labels.symmetry_orbit``); all values are real.  Here n is the
-    Sp(2n) rank, and the labels run over every height up to it.
+    the array; all values are real.  Here n is the Sp(2n) rank, and the labels
+    run over every height up to it.
+
+    No orbit is walked: each Sp-admissible set's symbol by series c is compared
+    once with its orbit's reference, series a on the first set met with its
+    ``labels.orbit_key``.  That covers every rearrangement, since each is itself
+    Sp-admissible with heights up to n: a label is at most the half-sum of a
+    triad holding it, and that is at most n.
     """
+    if any(n < 1 for n in n_values):
+        raise SuiteRangeError(f"the sp suite needs ranks n >= 1, got n = {min(n_values)}")
     for n in n_values:
         labs = [SpLabels(*six, n) for six in admissible_sixes(n)]
         admissible_count = 0
+        refs: dict[tuple[int, ...], SurdValue] = {}  # orbit_key: the orbit's reference
         for lab in labs:
             va = u_sp(lab, "a").value
             report.checks += 1
@@ -393,15 +415,17 @@ def run_sp(report: SuiteReport, n_values: Sequence[int] = (1, 2, 3)) -> None:
                 rhs = va / surd_normalize(1, dim_sp(n, lab.e) * dim_sp(n, lab.f))
                 if lhs != rhs * phase:
                     report.fail(f"{lab.six} n={n}: column-swap relation broke")
-                s_ref = sp_renormalized(lab, "a")
-                for variant in symmetry_orbit(lab):
-                    report.checks += 1
-                    if sp_renormalized(SpLabels(*variant), "c") != s_ref:
-                        report.fail(f"{lab.six} n={n}: renormalized symbol changed at {variant.six}")
+                key = orbit_key(lab)
+                if key not in refs:
+                    refs[key] = sp_renormalized(lab, "a")
+                report.checks += 1
+                if sp_renormalized(lab, "c") != refs[key]:
+                    report.fail(f"{lab.six} n={n}: renormalized symbol differs from its orbit's")
             else:
                 if not va.is_zero():
                     report.fail(f"{lab.six} n={n}: out-of-range coupling is nonzero: {va}")
-        report.notes.append(f"n={n}: {len(labs)} triad-coupled sets, {admissible_count} admissible")
+        report.notes.append(f"n={n}: {len(labs)} triad-coupled sets, {admissible_count} admissible "
+                            f"in {len(refs)} orbits")
 
 
 @_suite("performance")

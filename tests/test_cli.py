@@ -276,6 +276,21 @@ def test_cmd_verify_all_skips_a_suite_that_rejects_its_range(capsys):
     assert "suite sp: " in out and "suite sp: skipped" not in out
 
 
+def test_cmd_verify_skips_the_so_suites_below_n_4(capsys):
+    code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "3", "--max-label", "1"])
+    assert code == 0
+    skipped = [line.split(":")[0] for line in out.splitlines() if ": skipped (" in line]
+    assert skipped == [f"suite {s}" for s in ("cross-formula", "oracles", "symmetry", "rationality",
+                                              "stretched", "kdf")]
+    assert "suite stretched: skipped (the SO(n) suites need n >= 4, got n = 3)" in out
+    for name in ("so4", "sp", "performance"):
+        assert f"suite {name}: " in out and f"suite {name}: skipped" not in out
+    for argv, err in ((["--suite", "cross-formula", "--n", "5,3"], "the SO(n) suites need n >= 4, got n = 3"),
+                      (["--suite", "sp", "--n", "0"], "the sp suite needs ranks n >= 1, got n = 0")):
+        code = main(["verify", *argv])
+        assert (code, capsys.readouterr()) == (2, ("", f"error: {err}\n"))
+
+
 def test_cmd_verify_all_exits_2_when_a_suite_raises_after_a_mismatch(capsys, monkeypatch):
     verify_mod = importlib.import_module("sonsixj.verify")
 

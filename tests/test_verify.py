@@ -3,9 +3,24 @@
 import importlib
 import random
 
+import pytest
+
 from sonsixj.exact import ResidualSqrtPiError
-from sonsixj.labels import admissible, admissible_sixes
-from sonsixj.verify import random_admissible, run_oracles, run_rationality, run_symmetry
+from sonsixj.labels import SixJLabels, admissible, admissible_sixes, orbit_key, symmetry_orbit
+from sonsixj.spn import SpLabels, sp_admissible
+from sonsixj.verify import (
+    SuiteRangeError,
+    random_admissible,
+    run_cross_formula,
+    run_kdf,
+    run_oracles,
+    run_rationality,
+    run_sp,
+    run_stretched,
+    run_symmetry,
+)
+
+verify_mod = importlib.import_module("sonsixj.verify")
 
 
 def test_rationality_records_an_evaluator_error_and_goes_on(monkeypatch):
@@ -40,10 +55,69 @@ def test_draws_range_over_exactly_the_admissible_sets():
 
 
 def test_symmetry_stops_once_a_small_range_is_drawn():
-    # labels <= 1 at one n give 8 admissible sets, fewer than the 200 asked for
+    # labels <= 1 at one n give 8 admissible sets in 3 orbits, fewer than the 200 asked for
     report = run_symmetry(max_label=1, n_values=(4,))
     assert report.ok
-    assert "8 orbits, every draw the range holds" in report.notes
+    assert "3 orbits, every orbit the range holds" in report.notes
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(max_label=1, n_values=(4,)),
+    dict(max_label=2, n_values=(4, 5)),
+    dict(count=40, max_label=6, n_values=(4, 5, 6)),
+])
+def test_symmetry_walks_each_drawn_orbit_once(monkeypatch, kwargs):
+    walked = []
+
+    def recording_orbit(lab):
+        walked.append(orbit_key(lab))
+        return symmetry_orbit(lab)
+
+    monkeypatch.setattr(verify_mod, "symmetry_orbit", recording_orbit)
+    report = run_symmetry(**kwargs)
+    assert report.ok
+    assert len(set(walked)) == len(walked)
+    assert report.notes[-1].startswith(f"{len(walked)} orbits")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sp_admissible_sets_are_whole_orbits(n):
+    # run_sp compares each Sp-admissible set with its orbit's reference and walks no
+    # orbit; that covers every rearrangement only because the orbits stay in range
+    sets = {six for six in admissible_sixes(n) if sp_admissible(SpLabels(*six, n))}
+    orbits = {}
+    for six in sets:
+        key = orbit_key(SixJLabels(*six, n))
+        if key not in orbits:
+            orbits[key] = {v.six for v in symmetry_orbit(SixJLabels(*six, n))}
+    assert set().union(*orbits.values()) == sets
+    assert len(orbits) == (3, 8, 18, 36, 66, 115)[n - 1]
+
+
+def test_sp_compares_every_set_with_its_orbits_reference(monkeypatch):
+    # (1, 1, 2, 1, 1, 2) has a three-member orbit at rank 2, with value 3/4 on it
+    assert len(symmetry_orbit(SixJLabels(1, 1, 2, 1, 1, 2, 2))) == 3
+    renormalized = verify_mod.sp_renormalized
+
+    def flipped(lab, method="a"):
+        value = renormalized(lab, method)
+        return -value if lab.six == (1, 2, 1, 1, 2, 1) else value
+
+    assert run_sp(n_values=(2,)).ok
+    monkeypatch.setattr(verify_mod, "sp_renormalized", flipped)
+    report = run_sp(n_values=(2,))
+    assert report.ok is False
+    assert report.mismatches == ["(1, 2, 1, 1, 2, 1) n=2: renormalized symbol differs from its orbit's"]
+
+
+@pytest.mark.parametrize("suite, n_values", [
+    (run_cross_formula, (4, 3)), (run_symmetry, (3,)), (run_rationality, (5, 1)),
+    (run_stretched, (2, 4)), (run_kdf, (3,)), (run_sp, (1, 0)),
+])
+def test_suites_reject_an_unsupported_n_before_any_check(suite, n_values):
+    bad = min(n_values)
+    with pytest.raises(SuiteRangeError, match=f"got n = {bad}$"):
+        suite(n_values=n_values)
 
 
 def test_oracles_demand_the_injected_sign_only_where_it_can_matter(monkeypatch):
@@ -51,7 +125,6 @@ def test_oracles_demand_the_injected_sign_only_where_it_can_matter(monkeypatch):
     assert small.ok and any("not checked" in note for note in small.notes)
     assert run_oracles(n_values=(4, 6), max_label=1).ok
 
-    verify_mod = importlib.import_module("sonsixj.verify")
     pair = verify_mod.sixj_via_su2_pair
     monkeypatch.setattr(verify_mod, "sixj_via_su2_pair", lambda lab, reinstate_phase=False: pair(lab))
     toothless = run_oracles(n_values=(4, 6), max_label=1)
