@@ -38,9 +38,9 @@ import sys
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import DEFAULT_DIGITS, SurdValue, surd_normalize
 from .labels import SixJLabels, admissible_sixes, symmetry_orbit
@@ -50,6 +50,7 @@ from .verify import SUITES, SuiteRangeError, run_suite
 
 MAX_N_VALUES = 10_000  # most n values one --n may expand to
 MAX_DIGITS = 10_000  # most significant digits --digits may ask for
+KEPT_MAX_LABEL = 8  # the sweep keeps the label sets up to here: 13,691 sets, about 1.3 MB
 
 _EXACT_PATTERN = re.compile(
     r"^(?P<num>-?\d+)(?:/(?P<den>\d+))?"
@@ -285,6 +286,17 @@ def _sweep_eval(task: SweepTask) -> str:
     return json.dumps(_payload(kind, n, six, *QUERIES[kind].evaluate(six, n, method, False)))
 
 
+@lru_cache(maxsize=1)
+def _kept_sixes(max_label: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(admissible_sixes(max_label))
+
+
+def _sixes(max_label: int) -> Iterable[tuple[int, ...]]:
+    """``admissible_sixes(max_label)``: for a small bound the one kept tuple of the last
+    bound asked for, so the sweeps of many n, in one call or many, enumerate it once."""
+    return _kept_sixes(max_label) if max_label <= KEPT_MAX_LABEL else admissible_sixes(max_label)
+
+
 def _sweep_tasks(args) -> Iterator[SweepTask]:
     """Check every n, --max-label and --method, then return the tasks lazily.
 
@@ -301,14 +313,14 @@ def _sweep_tasks(args) -> Iterator[SweepTask]:
         for n in n_values:
             if n < 4:
                 raise MalformedQuery(f"sweep needs n >= 4, got {n}")
-        return ((kind, six, n, method) for n in n_values for six in admissible_sixes(args.max_label))
+        return ((kind, six, n, method) for n in n_values for six in _sixes(args.max_label))
     for n in n_values:
         if n < 1:
             raise MalformedQuery(f"sp sweep needs rank >= 1, got {n}")
     return (
         (kind, six, n, method)
         for n in n_values
-        for six in admissible_sixes(args.max_label if args.max_label is not None else n)
+        for six in _sixes(args.max_label if args.max_label is not None else n)
         if sp_admissible(SpLabels(*six, n))
     )
 

@@ -79,7 +79,7 @@ def _su2_6j_doubled(j1: int, j2: int, j3: int, j4: int, j5: int, j6: int) -> Sur
 def require_even_n(n: int) -> None:
     """The oracle routes take even n >= 4."""
     if n % 2:
-        raise ValueError("oracle routes need even n (quarter-integer arguments otherwise)")
+        raise ValueError(f"oracle routes need even n (quarter-integer arguments otherwise), got n = {n}")
     if n < 4:
         raise ValueError(f"oracle routes need n >= 4, got n = {n}")
 

@@ -276,6 +276,14 @@ def test_cmd_verify_all_skips_a_suite_that_rejects_its_range(capsys):
     assert "suite sp: " in out and "suite sp: skipped" not in out
 
 
+def test_cmd_verify_all_names_the_odd_n_the_oracles_skip(capsys):
+    code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "4,5,6", "--max-label", "1",
+                                 "--count", "2"])
+    [skip] = [line for line in out.splitlines() if line.startswith("suite oracles: ")]
+    assert code == 0
+    assert skip == "suite oracles: skipped (oracle routes need even n (quarter-integer arguments otherwise), got n = 5)"
+
+
 def test_cmd_verify_skips_the_so_suites_below_n_4(capsys):
     code, out = run_cli(capsys, ["verify", "--suite", "all", "--n", "3", "--max-label", "1"])
     assert code == 0
@@ -436,6 +444,28 @@ def test_sweep_bytes_pinned_on_every_path(capsys):
     for code, out in (cold, warm, pooled):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_4_9_SHA256
+
+
+def test_sweeps_enumerate_a_small_label_range_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(max_label):
+        calls.append(max_label)
+        return admissible_sixes(max_label)
+
+    monkeypatch.setattr(cli, "admissible_sixes", counted)
+    cli._kept_sixes.cache_clear()
+    argv = ["sweep", "--kind", "sixj", "--n", "6,7", "--max-label", "2"]
+    first, second = run_cli(capsys, argv), run_cli(capsys, argv)
+    assert first == second and first[1].count("\n") == 2 * len(list(admissible_sixes(2)))
+    assert calls == [2]
+    # above the kept range nothing is kept: every n enumerates its own sets, lazily
+    calls.clear()
+    top = cli.KEPT_MAX_LABEL + 1
+    tasks = cli._sweep_tasks(cli.build_parser().parse_args(["sweep", "--kind", "sixj", "--n", "6,7",
+                                                             "--max-label", str(top)]))
+    assert calls == []
+    assert sum(1 for _ in tasks) == 2 * len(list(admissible_sixes(top))) and calls == [top, top]
 
 
 def test_sweep_rows_match_direct_evaluation(capsys):

@@ -1,15 +1,18 @@
 """The shared double-series kernel against arithmetic that does not go through it."""
 
 from fractions import Fraction
-from math import comb, prod
+from functools import reduce
+from itertools import accumulate
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, triangle_ok
-from sonsixj.series import _first_zero, _rows, double_sum, series_table
-from sonsixj.sixj import c_alpha
-from sonsixj.spn import SP_METHODS, SpLabels, sp_admissible, u_sp
+from sonsixj.series import (_block_width, _double_sum, _first_zero, _kernel, _rows, double_sum,
+                             series_table)
+from sonsixj.sixj import c_alpha, select_method
+from sonsixj.spn import SP_METHODS, SpLabels, _sp_array, sp_admissible, u_sp
 
 
 def pochhammer(a, k: int) -> Fraction:
@@ -121,8 +124,9 @@ def _lattice_sum(table, two_tau):
     ((1, 2, 3, 5), lambda n: -2 * n - 2),
 ], ids=["even_two_tau", "odd_two_tau", "sp_rank"])
 def test_double_sum_matches_lattice_sum(ns, two_tau):
-    # value and nonzero count of the Horner kernel against the plain lattice sum
-    vanishing = 0
+    # value and nonzero count of the kernel against the plain lattice sum, by the rule
+    # (one block at these sizes) and in x1 blocks of widths 1, 2, 3 and 5
+    vanishing = blocked = 0
     for six in list(admissible_sixes(5))[::5]:
         arr = shelepin(SixJLabels(*six, 6))
         for n in ns:
@@ -130,8 +134,89 @@ def test_double_sum_matches_lattice_sum(ns, two_tau):
                 table = series_table(arr, method)
                 value, nonzero, zeros = _lattice_sum(table, two_tau(n))
                 assert double_sum(table, two_tau(n)) == (value, nonzero), (six, n, method)
+                for width in (1, 2, 3, 5):
+                    boxes = []
+                    got = _double_sum(table, two_tau(n), lambda m1, m2: boxes.append((m1, m2)) or width)
+                    assert got == (value, nonzero), (six, n, method, width)
+                    # blocks, and rows past the first width + 1 summed by differences
+                    blocked += bool(boxes) and width <= boxes[0][0] and width < boxes[0][1]
                 vanishing += zeros
     assert vanishing  # the first-zero count is exercised at this step
+    assert blocked > 100
+
+
+def test_blocked_sum_on_a_box_narrower_than_the_lattice():
+    # every row's rising coupling row vanishes below m1, so the summed box stops at
+    # top <= m1 - 1 and the Q_i past it multiply each row
+    table = series_table(shelepin(SixJLabels(44, 40, 56, 51, 33, 43, 6)), "C")
+    value, nonzero, _ = _lattice_sum(table, -32)
+    assert value and nonzero
+    for width in (1, 2, 3, 5):
+        boxes = []
+        assert _double_sum(table, -32, lambda m1, m2: boxes.append((m1, m2)) or width) == (value, nonzero)
+        assert boxes == [(10, 10)] and table.m1 == 14
+
+
+def _row_horner(table, two_tau):
+    """(sum, nonzero terms) by one Horner pass per x2 row, one large product per point.
+
+    The double-sum kernel before the x1 blocks, kept as the reference for them.
+    """
+    k = _kernel(table, two_tau)
+    content1 = reduce(gcd, k.g1)
+    content2 = reduce(gcd, k.g2)
+    if not content1 or not content2:
+        return Fraction(0), 0
+    m1, step = k.m1, k.step
+    g1 = [f // content1 for f in k.g1]
+    below = list(accumulate((f != 0 for f in g1), initial=0))
+    total = 0
+    nonzero = 0
+    for x2, f2 in enumerate(k.g2):
+        if not f2:
+            continue
+        p = k.up[0] + k.up[1] * x2
+        q = k.down[0] + k.down[1] * x2
+        hi = _first_zero(p, step, m1)
+        lo = m1 + 1 - _first_zero(q, step, m1)
+        count = below[hi] - below[lo]
+        if count <= 0:
+            continue
+        nonzero += count
+        cd = _rows((q,), m1, step)
+        h = 0
+        for x1 in range(hi - 1, -1, -1):
+            h = g1[x1] * cd[m1 - x1] + (p + x1 * step) * h
+        total += f2 // content2 * h
+    total *= content1 * content2
+    if step == 2:
+        return Fraction(total, 1 << (4 * m1 + 2 * k.m2)), nonzero
+    return Fraction(total), nonzero
+
+
+def _production_table(size, n):
+    """The table auto evaluates for the balanced labels (size - 4, size, size - 2, size + 2, size - 6, size)."""
+    choice = select_method(SixJLabels(size - 4, size, size - 2, size + 2, size - 6, size, n))
+    return series_table(shelepin(choice.variant), choice.method)
+
+
+@pytest.mark.parametrize("table, two_tau", [
+    (_production_table(200, 10), 8),
+    (_production_table(200, 11), 9),
+    (_production_table(400, 10), 8),
+    (_production_table(400, 11), 9),
+    (series_table(_sp_array(SpLabels(108, 110, 106, 108, 112, 104, 180)), "A"), -362),
+], ids=["L200_n10", "L200_n11", "L400_n10", "L400_n11", "sp_rank180"])
+def test_blocked_kernel_matches_the_row_horner_at_scale(table, two_tau):
+    widths = []
+
+    def rule(m1, m2):
+        widths.append((m1, _block_width(m1, m2)))
+        return widths[-1][1]
+
+    assert _double_sum(table, two_tau, rule) == _row_horner(table, two_tau)
+    [(m1, width)] = widths
+    assert width <= m1  # the rule blocks this lattice
 
 
 def test_series_table_rejects_unknown_method():
