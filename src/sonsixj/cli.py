@@ -279,6 +279,7 @@ def _cmd_verify(args, labels: list[int]) -> int:
 
 
 SweepTask = tuple[str, tuple[int, ...], int, str]
+_CLOSED_FORMS = ("StretchedE", "NearStretchedE")  # only where e = a + b or a + b - 2, so no sweep
 
 
 def _sweep_eval(task: SweepTask) -> str:
@@ -304,8 +305,9 @@ def _sweep_tasks(args) -> Iterator[SweepTask]:
     """
     n_values = _parse_n_list(args.n)
     kind, query = args.kind, QUERIES[args.kind]
-    if args.method not in query.methods:
-        raise MalformedQuery(f"sweep --kind {kind} takes --method {', '.join(query.methods)}; got {args.method!r}")
+    methods = [m for m in query.methods if m not in _CLOSED_FORMS]
+    if args.method not in methods:
+        raise MalformedQuery(f"sweep --kind {kind} takes --method {', '.join(methods)}; got {args.method!r}")
     method = query.auto if args.method == "auto" else args.method
     if kind in ("sixj", "calpha"):
         if args.max_label is None:

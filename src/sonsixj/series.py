@@ -5,10 +5,11 @@ Each production method (``A``, ``B``, ``C``) is a terminating double sum
     sum_{x1=0}^{m1} sum_{x2=0}^{m2} (-1)**(x1+x2) C(m1, x1) C(m2, x2)
         prod_{u in up1} (u)_{x1} prod_{v in down1} (v)_{m1-x1}
         prod_{u in up2} (u)_{x2} prod_{v in down2} (v)_{m2-x2}
-        (p + s x2)_{x1} (q - s x2)_{m1-x1}
+        (p + x2)_{x1} (q - x2)_{m1-x1}
 
 over the half-sum array.  Every Pochhammer argument is an integer plus a
-multiple of tau, so a method is a table of (integer, tau coefficient) pairs.
+multiple of tau, so a method is a table of (integer, tau coefficient) pairs; only
+this module reads it, here and in the sum's prefactor (``series_prefactor``).
 SO(n) has 2 tau = n - 2; the Sp(2n) series are the same tables continued to
 the formal rank -2n, 2 tau = -2n - 2.
 
@@ -31,12 +32,12 @@ kernel is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from math import comb, gcd, isqrt, prod
 from operator import mul, sub
 from typing import Iterator, NamedTuple
 
+from .exact import FactoredProduct
 from .labels import RArray
 
 
@@ -44,14 +45,13 @@ class SeriesTable(NamedTuple):
     """Pochhammer arguments of one method as (integer, tau coefficient) pairs.
 
     ``up1`` rows run to x1, ``down1`` rows to m1 - x1, ``up2`` to x2 and
-    ``down2`` to m2 - x2.  The two coupling rows are (integer, tau coefficient,
-    slope in x2): ``couple_up`` runs to x1 and ``couple_down`` to m1 - x1.  Their
-    slopes are +1 and -1 in every method, which the blocked double sum relies on.
+    ``down2`` to m2 - x2.  The two coupling rows are given at x2 = 0: ``couple_up``
+    runs to x1 and gains 1 per unit of x2, ``couple_down`` runs to m1 - x1 and loses 1.
 
-    The prefactor of the sum is read from the same table: ``factorials`` are the
-    six r_ik whose factorials divide it, ``shifted`` the six r_ik that enter as
-    Gamma(r_ik + tau), ``lead_alpha`` the alpha of its leading factorial, and
-    its sign is (-1)**parity.
+    ``series_prefactor`` reads the prefactor of the sum from the same table:
+    ``factorials`` are the six r_ik whose factorials divide it, ``shifted`` the six
+    r_ik that enter as Gamma(r_ik + tau), ``lead_alpha`` the alpha of its leading
+    factorial, and its sign is (-1)**parity.
     """
 
     m1: int
@@ -60,8 +60,8 @@ class SeriesTable(NamedTuple):
     down1: tuple[tuple[int, int], ...]
     up2: tuple[tuple[int, int], ...]
     down2: tuple[tuple[int, int], ...]
-    couple_up: tuple[int, int, int]
-    couple_down: tuple[int, int, int]
+    couple_up: tuple[int, int]
+    couple_down: tuple[int, int]
     factorials: tuple[int, ...]
     shifted: tuple[int, ...]
     lead_alpha: int
@@ -80,8 +80,8 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             down1=((-r21, 0), (-a4, -1), (r34, 1)),
             up2=((r24, 1), (1 - r12, -1)),
             down2=((-a2, -1), (r32, 1)),
-            couple_up=(b2 - b1 + 1, 0, 1),
-            couple_down=(1 - r21, -1, -1),
+            couple_up=(b2 - b1 + 1, 0),
+            couple_down=(1 - r21, -1),
             factorials=(r11, r12, r13, r14, r21, r33),
             shifted=(r22, r23, r24, r32, r33, r34),
             lead_alpha=a3, parity=(a1 - a3) % 2)
@@ -92,8 +92,8 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             down1=((-r21, 0), (r34, 1), (-a4, -1)),
             up2=((-a2, -1), (1 - a3, -2)),
             down2=((r24, 1), (a1, 2)),
-            couple_up=(1 - r34 - r11, -1, 1),
-            couple_down=(r34 + 1, 0, -1),
+            couple_up=(1 - r34 - r11, -1),
+            couple_down=(r34 + 1, 0),
             factorials=(r11, r12, r14, r21, r31, r33),
             shifted=(r12, r22, r23, r24, r33, r34),
             lead_alpha=a1, parity=(b1 - b3) % 2)
@@ -104,12 +104,33 @@ def series_table(arr: RArray, method: str) -> SeriesTable:
             down1=((r32, 1), (r22 + 1, 0), (a1, 2)),
             up2=((r23, 1), (r24, 1)),
             down2=((-a2, -1), (1 - r21, -1)),
-            couple_up=(1 - r32 - r11, -1, 1),
-            couple_down=(r32 + 1, 0, -1),
+            couple_up=(1 - r32 - r11, -1),
+            couple_down=(r32 + 1, 0),
             factorials=(r11, r12, r21, r31, r33, r34),
             shifted=(r22, r23, r24, r32, r33, r34),
             lead_alpha=a1, parity=(b1 - b3) % 2)
     raise ValueError(f"unknown series method {method!r}")
+
+
+def series_prefactor(arr: RArray, table: SeriesTable, rank: int) -> FactoredProduct:
+    """The signed prefactor of the table's double series at rank N (2 tau = N - 2), as a ledger.
+
+    At N = n it is finite; at the Sp(2n) rank N = -2n its poles pair in the ledger.
+    """
+    _, a2, a3, a4 = arr.alpha
+    fp = FactoredProduct()
+    fp.mul_factorial(table.lead_alpha + rank - 3)
+    fp.mul_factorial(rank - 3, -1)
+    for m in table.factorials:
+        fp.mul_factorial(m, -1)
+    for r in table.shifted:
+        fp.mul_gamma(2 * r + rank - 2)  # Gamma(r + tau)
+    for a in (a2, a3, a4):
+        fp.mul_gamma(2 * a + rank, -1)  # Gamma(a + tau + 1)
+    fp.mul_gamma(rank, -3)  # Gamma(tau + 1)**-3
+    if table.parity:
+        fp.sign = -fp.sign
+    return fp
 
 
 def _rows(args, kmax: int, step: int) -> list[int]:
@@ -122,16 +143,16 @@ def _rows(args, kmax: int, step: int) -> list[int]:
 
 
 class _Kernel(NamedTuple):
-    """A table at one tau, in units of 1/step: the x1 and x2 factors, with binomial
-    and sign, and each coupling row's (argument at x2 = 0, change per unit of x2)."""
+    """A table at one tau, in units of 1/step: the x1 and x2 factors, with binomial and
+    sign, and the coupling arguments at x2 = 0 (``up`` gains one step per x2, ``down`` loses one)."""
 
     m1: int
     m2: int
     step: int
     g1: list[int]
     g2: list[int]
-    up: tuple[int, int]
-    down: tuple[int, int]
+    up: int
+    down: int
 
 
 def _kernel(table: SeriesTable, two_tau: int) -> _Kernel:
@@ -145,17 +166,16 @@ def _kernel(table: SeriesTable, two_tau: int) -> _Kernel:
         d = _rows([arg(p, c) for p, c in down], m, step)
         return [comb(m, x) * u[x] * d[m - x] * (-1 if x % 2 else 1) for x in range(m + 1)]
 
-    (pu, cu, su), (pd, cd, sd) = table.couple_up, table.couple_down
     return _Kernel(table.m1, table.m2, step,
                    factors(table.up1, table.down1, table.m1),
                    factors(table.up2, table.down2, table.m2),
-                   (arg(pu, cu), step * su), (arg(pd, cd), step * sd))
+                   arg(*table.couple_up), arg(*table.couple_down))
 
 
 def _coupling(k: _Kernel, x2: int) -> list[int]:
-    """(p + s x2)_{x1} (q - s x2)_{m1-x1} for x1 = 0..m1."""
-    cu = _rows((k.up[0] + k.up[1] * x2,), k.m1, k.step)
-    cd = _rows((k.down[0] + k.down[1] * x2,), k.m1, k.step)
+    """(p + x2)_{x1} (q - x2)_{m1-x1} for x1 = 0..m1, in units of 1/step."""
+    cu = _rows((k.up + k.step * x2,), k.m1, k.step)
+    cd = _rows((k.down - k.step * x2,), k.m1, k.step)
     return list(map(mul, cu, reversed(cd)))
 
 
@@ -220,7 +240,7 @@ def _block_width(m1: int, m2: int) -> int:
 
 
 def _block(g1: list[int], rows, a: int, b: int, m1: int, step: int) -> list[int]:
-    """W(x2) of the block [a, b) at each row's coupling arguments (p, q, hi), by Horner's rule:
+    """W(x2) of the block [a, b) at each row record (x2, p, q, hi, lo), by Horner's rule:
 
         sum_{a <= x1 < b} g1[x1] prod_{a <= i < x1} P_i prod_{x1 <= i < min(b, m1)} Q_i.
 
@@ -230,7 +250,7 @@ def _block(g1: list[int], rows, a: int, b: int, m1: int, step: int) -> list[int]
     end = min(b, m1)
     shift = (m1 - end) * step
     out = []
-    for p, q, hi in rows:
+    for _, p, q, hi, _ in rows:
         qin = _rows((q + shift,), end - a, step)  # qin[j] = Q_{end-j} ... Q_{end-1}
         h = 0
         for x1 in range((hi if a < hi <= b else b) - 1, a - 1, -1):
@@ -260,20 +280,20 @@ def _backward(values: list[int]) -> list[int]:
 def _double_sum(table: SeriesTable, two_tau: int, block_width) -> tuple[Fraction, int]:
     """``double_sum`` with the block width chosen by ``block_width(m1, m2)`` of the live box."""
     k = _kernel(table, two_tau)
-    content1 = reduce(gcd, k.g1)
-    content2 = reduce(gcd, k.g2)
-    if not content1 or not content2:
+    content1 = gcd(*k.g1)
+    content2 = gcd(*k.g2)
+    if not content1 or not content2:  # a zero or empty axis: gcd() is 0
         return Fraction(0), 0
     m1, step = k.m1, k.step
     g1 = [f // content1 for f in k.g1]
     below = list(accumulate((f != 0 for f in g1), initial=0))  # nonzero g1 below x1
-    weights, args = [], []  # g2[x2] / content2 and (p, q, hi) of every row with a nonzero term
+    weights, live = [], []  # g2[x2] / content2 and (x2, p, q, hi, lo) of every row with a nonzero term
     nonzero = top = 0  # x1 < top in every nonzero term
     for x2, f2 in enumerate(k.g2):
         if not f2:
             continue
-        p = k.up[0] + k.up[1] * x2
-        q = k.down[0] + k.down[1] * x2
+        p = k.up + step * x2
+        q = k.down - step * x2
         hi = _first_zero(p, step, m1)  # x1 < hi: (p)_{x1} != 0
         lo = m1 + 1 - _first_zero(q, step, m1)  # x1 >= lo: (q)_{m1-x1} != 0
         count = below[hi] - below[lo]  # <= 0 when hi <= lo: no x1 has both rows nonzero
@@ -282,24 +302,24 @@ def _double_sum(table: SeriesTable, two_tau: int, block_width) -> tuple[Fraction
             if hi > top:
                 top = hi
             weights.append(f2 // content2)
-            args.append((p, q, hi))
-    if not args:
+            live.append((x2, p, q, hi, lo))
+    if not live:
         return Fraction(0), 0
-    width = block_width(top - 1, (args[-1][0] - args[0][0]) // k.up[1])  # p moves by one step per row
+    width = block_width(top - 1, live[-1][0] - live[0][0])
     if width < top:
-        total = _blocked_rows(k, g1, weights, args, top, width)
+        total = _blocked_rows(k, g1, weights, live, top, width)
     else:
-        total = sum(map(mul, weights, _block(g1, args, 0, m1 + 1, m1, step)))
+        total = sum(map(mul, weights, _block(g1, live, 0, m1 + 1, m1, step)))
     total *= content1 * content2
     if step == 2:
         return Fraction(total, 1 << (4 * m1 + 2 * k.m2)), nonzero
     return Fraction(total), nonzero
 
 
-def _blocked_rows(k: _Kernel, g1: list[int], weights, args, top: int, width: int) -> int:
+def _blocked_rows(k: _Kernel, g1: list[int], weights, live, top: int, width: int) -> int:
     """sum g2[x2] S(x2) over the rows with a nonzero term, S summed over x1 < top in
-    blocks of the width; ``weights`` and ``args`` are those rows' g2[x2] / content2
-    and coupling arguments (p, q, hi).
+    blocks of the width; ``weights`` and ``live`` are those rows' g2[x2] / content2
+    and records (x2, p, q, hi, lo), in order of x2.
 
     By the block identity of ``double_sum``: the first width + 1 rows sum every W_k
     directly by ``_block``; each later row advances the blocks' backward
@@ -307,41 +327,40 @@ def _blocked_rows(k: _Kernel, g1: list[int], weights, args, top: int, width: int
     Horner's rule, H <- (prod of the Q_i past the block) W_k + (prod of its P_i) H,
     one large product per block.  Blocks past the one holding the row's zero P_i,
     or before the one holding its zero Q_i, are zero there and skipped.  The row's
-    arguments move by one step per unit of x2 (the coupling slopes are +1 and -1),
-    so P_i and Q_i at row x2 are the terms i + x2 of two fixed sequences, and each
-    block's product of them is a window product computed once per lattice.
+    arguments move by one step per unit of x2, so P_i and Q_i at row x2 are the
+    terms i + x2 of two fixed sequences, and each block's product of them is a
+    window product computed once per lattice.
     """
     m1, step = k.m1, k.step
     end = min(top, m1)
     edges = [*range(0, top, width), top]
     blocks = list(zip(edges, edges[1:]))
     span = range(m1 + k.m2 + 1)
-    up = [k.up[0] + t * step for t in span]  # P_i at row x2 is up[i + x2]
-    down = [k.down[0] + (m1 - 1 - t) * step for t in span]  # Q_i is down[i + x2]
+    up = [k.up + t * step for t in span]  # P_i at row x2 is up[i + x2]
+    down = [k.down + (m1 - 1 - t) * step for t in span]  # Q_i is down[i + x2]
     up_win, down_win = _windows(up, width), _windows(down, width)
     tail = _windows(down, end - blocks[-1][0])  # the Q_i of the last block
     far = _windows(down, m1 - end)
-    live = {}  # x2: (g2[x2] / content2, hi, lo)
-    for f2, (p, q, hi) in zip(weights, args):
-        live[(p - k.up[0]) // k.up[1]] = f2, hi, m1 + 1 - _first_zero(q, step, m1)
-    first, last = min(live), max(live)
-    seeds = []  # (p, q, hi) of the rows summed directly
+    first, last = live[0][0], live[-1][0]
+    seeds = []  # records of the rows summed directly, live or not; _block reads no lo
     for x2 in range(first, min(first + width, last) + 1):
-        p = k.up[0] + k.up[1] * x2
-        seeds.append((p, k.down[0] + k.down[1] * x2, _first_zero(p, step, m1)))
+        p = k.up + step * x2
+        seeds.append((x2, p, k.down - step * x2, _first_zero(p, step, m1), 0))
     seeded = [_block(g1, seeds, a, b, m1, step) for a, b in blocks]
     # a block of degree d is fixed by its last d + 1 directly summed rows
     diffs = [_backward(values[a - min(b, m1) - 1:]) for values, (a, b) in zip(seeded, blocks)]
-    total = 0
+    total = j = 0  # live[j] is the next live row
     for x2 in range(first, last + 1):
         if x2 <= first + width:
             w = [values[x2 - first] for values in seeded]
         else:
             diffs = [list(accumulate(d)) for d in diffs]
             w = [d[-1] for d in diffs]
-        if x2 not in live:
+        if x2 < live[j][0]:
             continue
-        f2, hi, lo = live[x2]
+        _, _, _, hi, lo = live[j]
+        f2 = weights[j]
+        j += 1
         # blocks from x1 = hi on hold P_{hi-1} = 0 in their P prefix, and blocks that
         # end by x1 = lo hold Q_{lo-1} = 0 in every term: both are zero on this row
         right = min((hi - 1) // width, len(blocks) - 1)

@@ -20,9 +20,9 @@ Each method multiplies its value by ``_abcdef(labels)``, a positive rational tha
 ``B``, ``C`` and of the closed form, ``threej_zero`` and ``assemble_sixj``) forms its
 Gamma and factorial products in one ``exact.FactoredProduct`` ledger per call, with
 every Gamma argument passed doubled, as an integer.  The series prefactor
-(``series_prefactor``) and the squared root block (``root_block_sq``, four squared
-triangular factors from ``_nabla_sq``, a bounded cache of one ledger per (rank,
-triad)) take the rank N: ``sixj`` calls them at N = n, ``spn.u_sp`` at N = -2n.  The
+(``series.series_prefactor``) and the squared root block (``root_block_sq``, four
+squared triangular factors from ``_nabla_sq``, a bounded cache of one ledger per
+(rank, triad)) take the rank N: ``sixj`` calls them at N = n, ``spn.u_sp`` at N = -2n.  The
 Gamma-product sums pass their arguments doubled too, but make each lattice term
 and the prefactor one call of the check paths' ``exact.gamma_ratio_doubled``, with
 one Fraction per nonzero term; they use neither the ledger nor ``series``.
@@ -46,7 +46,6 @@ from typing import NamedTuple
 
 from .exact import FactoredProduct, ResidualSqrtPiError, SurdValue, gamma_ratio_doubled
 from .labels import (
-    RArray,
     SixJLabels,
     admissible,
     array_labels,
@@ -57,7 +56,7 @@ from .labels import (
     shelepin,
     triangle_ok,
 )
-from .series import SeriesTable, double_sum, series_table
+from .series import double_sum, series_prefactor, series_table
 
 
 def _check_n(n: int, allow_n3: bool) -> None:
@@ -162,27 +161,6 @@ def _abcdef(labels: SixJLabels) -> Fraction:
     for x in labels.six:
         prod *= 2 * x + n - 2
     return Fraction(prod, 64)
-
-
-def series_prefactor(arr: RArray, table: SeriesTable, rank: int) -> FactoredProduct:
-    """The signed prefactor of the table's double series at rank N (2 tau = N - 2), as a ledger.
-
-    At N = n it is finite; at the Sp(2n) rank N = -2n its poles pair in the ledger.
-    """
-    _, a2, a3, a4 = arr.alpha
-    fp = FactoredProduct()
-    fp.mul_factorial(table.lead_alpha + rank - 3)
-    fp.mul_factorial(rank - 3, -1)
-    for m in table.factorials:
-        fp.mul_factorial(m, -1)
-    for r in table.shifted:
-        fp.mul_gamma(2 * r + rank - 2)  # Gamma(r + tau)
-    for a in (a2, a3, a4):
-        fp.mul_gamma(2 * a + rank, -1)  # Gamma(a + tau + 1)
-    fp.mul_gamma(rank, -3)  # Gamma(tau + 1)**-3
-    if table.parity:
-        fp.sign = -fp.sign
-    return fp
 
 
 def _c_pochhammer(labels: SixJLabels, variant: str) -> tuple[Fraction, int]:

@@ -4,7 +4,7 @@ A single-column irrep of Sp(2n) is labelled by its column height nu.  The
 recoupling coefficient for six such irreps is the orthogonal 6j-symbol of the
 formal group SO(N) at N = -2n, computed by the SO(N) code itself: the series of
 methods A, B and C in ``series`` at tau = -n - 1, where every term is an exact
-integer, and ``sixj.series_prefactor`` and ``sixj.root_block_sq`` at N = -2n,
+integer, and ``series.series_prefactor`` and ``sixj.root_block_sq`` at N = -2n,
 whose poles pair in the ledger.  With C the signed series and Q the squared root
 block, negative on about half the label sets, u_sp = C sqrt(d_e d_f |Q|).
 
@@ -24,8 +24,8 @@ from typing import Iterator
 
 from .exact import FactoredProduct, SurdValue
 from .labels import RArray, SixJLabels, admissible, require_int_labels, shelepin
-from .series import double_sum, series_table, termwise
-from .sixj import root_block_sq, series_prefactor
+from .series import double_sum, series_prefactor, series_table, termwise
+from .sixj import root_block_sq
 
 __all__ = [
     "SP_METHODS",

@@ -503,6 +503,25 @@ def test_sweep_rejects_method_foreign_to_kind(capsys, kind, method):
     assert run_cli(capsys, argv) == (2, "")
 
 
+@pytest.mark.parametrize("kind, method", [
+    (kind, method) for kind, query in cli.QUERIES.items() for method in query.methods
+])
+def test_sweep_runs_through_or_fails_before_the_first_row(capsys, kind, method):
+    argv = ["sweep", "--kind", kind, "--n", "2" if kind == "sp_u" else "4", "--max-label", "2",
+            "--method", method]
+    code, out = run_cli(capsys, argv)
+    assert (code == 0 and out) or (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("kind", ["sixj", "calpha"])
+@pytest.mark.parametrize("method", ["StretchedE", "NearStretchedE"])
+def test_sweep_rejects_the_closed_forms(capsys, kind, method):
+    # they apply only where e = a + b or a + b - 2, which a sweep's label range crosses
+    main(["sweep", "--kind", kind, "--n", "6", "--max-label", "3", "--method", method])
+    out, err = capsys.readouterr()
+    assert out == "" and "takes --method auto, A, B, C, T3, AFactorial, BFactorial, CFactorial;" in err
+
+
 def test_sweep_method_auto_per_kind(capsys):
     for kind, default in (("sp_u", "a"), ("calpha", "A")):
         _, auto = run_cli(capsys, ["sweep", "--kind", kind, "--n", "4", "--max-label", "2"])

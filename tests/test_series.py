@@ -104,10 +104,10 @@ def _lattice_sum(table, two_tau):
     m1, m2 = table.m1, table.m2
     up1, down1 = rows(table.up1, m1), rows(table.down1, m1)
     up2, down2 = rows(table.up2, m2), rows(table.down2, m2)
-    (pu, cu, su), (pd, cd, sd) = table.couple_up, table.couple_down
+    (pu, cu), (pd, cd) = table.couple_up, table.couple_down
     total = nonzero = vanishing = 0
     for x2 in range(m2 + 1):
-        couple_up, couple_down = row(pu + su * x2, cu, m1), row(pd + sd * x2, cd, m1)
+        couple_up, couple_down = row(pu + x2, cu, m1), row(pd - x2, cd, m1)
         vanishing += (0 in couple_up) + (0 in couple_down)
         for x1 in range(m1 + 1):
             term = prod(((-1) ** (x1 + x2), comb(m1, x1), comb(m2, x2),
@@ -145,6 +145,16 @@ def test_double_sum_matches_lattice_sum(ns, two_tau):
     assert blocked > 100
 
 
+@pytest.mark.parametrize("method", ["A", "B", "C"])
+def test_double_sum_on_a_table_with_an_empty_axis(method):
+    # shelepin builds the array of this non-triangular set; method A has m2 = -10,
+    # an empty x2 axis, and B and C sum nonempty lattices
+    table = series_table(shelepin(SixJLabels(35, 14, 17, 23, 52, 57, 6)), method)
+    assert (table.m2 < 0) == (method == "A")
+    value, nonzero, _ = _lattice_sum(table, 4)
+    assert double_sum(table, 4) == (value, nonzero)
+
+
 def test_blocked_sum_on_a_box_narrower_than_the_lattice():
     # every row's rising coupling row vanishes below m1, so the summed box stops at
     # top <= m1 - 1 and the Q_i past it multiply each row
@@ -175,8 +185,8 @@ def _row_horner(table, two_tau):
     for x2, f2 in enumerate(k.g2):
         if not f2:
             continue
-        p = k.up[0] + k.up[1] * x2
-        q = k.down[0] + k.down[1] * x2
+        p = k.up + step * x2
+        q = k.down - step * x2
         hi = _first_zero(p, step, m1)
         lo = m1 + 1 - _first_zero(q, step, m1)
         count = below[hi] - below[lo]
