@@ -43,14 +43,15 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import DEFAULT_DIGITS, SurdValue, surd_normalize
-from .labels import SixJLabels, admissible_sixes, symmetry_orbit
-from .sixj import METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
+from .labels import SixJLabels, admissible, admissible_sixes, symmetry_orbit
+from .sixj import CLOSED_FORMS, METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, SuiteRangeError, run_suite
 
 MAX_N_VALUES = 10_000  # most n values one --n may expand to
 MAX_DIGITS = 10_000  # most significant digits --digits may ask for
 KEPT_MAX_LABEL = 8  # the sweep keeps the label sets up to here: 13,691 sets, about 1.3 MB
+SWEEP_CHUNK = 64  # tasks per job a pooled sweep submits
 
 _EXACT_PATTERN = re.compile(
     r"^(?P<num>-?\d+)(?:/(?P<den>\d+))?"
@@ -234,7 +235,11 @@ def _cmd_query(args, labels: list[int]) -> int:
 def _cmd_orbit(args, labels: list[int]) -> int:
     six = _need_labels(labels, 6, "orbit")
     n = _single_n(args.n)
-    for variant in sorted(symmetry_orbit(SixJLabels(*six, n)), key=lambda v: v.six):
+    lab = SixJLabels(*six, n)
+    orbit = symmetry_orbit(lab)  # raises ParityError on an odd triad sum
+    if not admissible(lab):  # its rearrangements would hold negative labels
+        raise MalformedQuery(f"label set {lab.six} is not admissible")
+    for variant in sorted(orbit, key=lambda v: v.six):
         if args.format == "json":
             print(json.dumps({"kind": "orbit", "n": n, "labels": list(variant.six)}))
         else:
@@ -279,7 +284,6 @@ def _cmd_verify(args, labels: list[int]) -> int:
 
 
 SweepTask = tuple[str, tuple[int, ...], int, str]
-_CLOSED_FORMS = ("StretchedE", "NearStretchedE")  # only where e = a + b or a + b - 2, so no sweep
 
 
 def _sweep_eval(task: SweepTask) -> str:
@@ -305,7 +309,7 @@ def _sweep_tasks(args) -> Iterator[SweepTask]:
     """
     n_values = _parse_n_list(args.n)
     kind, query = args.kind, QUERIES[args.kind]
-    methods = [m for m in query.methods if m not in _CLOSED_FORMS]
+    methods = [m for m in query.methods if m not in CLOSED_FORMS]  # only where e = a + b or a + b - 2
     if args.method not in methods:
         raise MalformedQuery(f"sweep --kind {kind} takes --method {', '.join(methods)}; got {args.method!r}")
     method = query.auto if args.method == "auto" else args.method
@@ -331,11 +335,11 @@ def _sweep_chunk(tasks: list[SweepTask]) -> list[str]:
     return [_sweep_eval(task) for task in tasks]
 
 
-def _pool_rows(tasks: Iterator[SweepTask], jobs: int, chunk: int = 64) -> Iterator[str]:
+def _pool_rows(tasks: Iterator[SweepTask], jobs: int) -> Iterator[str]:
     """Rows in task order from a process pool, with at most 4 chunks per worker in flight."""
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         pending: deque = deque()
-        for batch in iter(lambda: list(islice(tasks, chunk)), []):
+        for batch in iter(lambda: list(islice(tasks, SWEEP_CHUNK)), []):
             pending.append(pool.submit(_sweep_chunk, batch))
             if len(pending) >= 4 * jobs:
                 yield from pending.popleft().result()

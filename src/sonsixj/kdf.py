@@ -279,14 +279,14 @@ def kdf_c_alpha(labels: SixJLabels, variant: str) -> Fraction:
     return pre * series * Fraction(prod, 64)
 
 
-def check_balance(p: KdFParams, n: int | None = None) -> bool:
-    """Both series axes balanced, with the documented common value."""
+def check_balance(p: KdFParams, n: int) -> bool:
+    """Both series axes balanced, at the common value n/2 - 2."""
     lhs = p.c1 - p.a1
     s_axis = 1 + sum(p.b) - sum(p.d)
     t_axis = 1 + sum(p.b_prime) - sum(p.d_prime)
     if lhs != s_axis or lhs != t_axis:
         return False
-    return n is None or lhs == Fraction(n, 2) - 2
+    return lhs == Fraction(n, 2) - 2
 
 
 def check_dependencies(p: KdFParams, family: str) -> bool:

@@ -34,10 +34,6 @@ class SixJLabels(NamedTuple):
     def six(self) -> tuple[int, int, int, int, int, int]:
         return (self.a, self.b, self.e, self.d, self.c, self.f)
 
-    def replace_six(self, six: Iterable[int]) -> "SixJLabels":
-        a, b, e, d, c, f = six
-        return type(self)(a, b, e, d, c, f, self.n)
-
 
 TRIADS = ((0, 1, 2), (0, 4, 5), (1, 3, 5), (4, 3, 2))  # indices into (a,b,e,d,c,f)
 
@@ -131,9 +127,6 @@ class RArray:
     def rows(self) -> tuple[tuple[int, int, int, int], ...]:
         return tuple(tuple(b - a for a in self.alpha) for b in self.beta)
 
-    def labels(self, n: int) -> SixJLabels:
-        return array_labels(self.alpha, self.beta, n)
-
 
 def array_labels(alpha: tuple[int, ...], beta: tuple[int, ...], n: int) -> SixJLabels:
     """The labels {a b e; d c f} of the half-sum array (alpha, beta): the inverse of ``shelepin``.
@@ -155,17 +148,11 @@ def shelepin(labels: SixJLabels) -> RArray:
     return RArray(alpha, beta)
 
 
-def orbit_variants(labels: SixJLabels) -> list[SixJLabels]:
-    """All 144 row/column rearrangements as label sets (with repetitions), rows outermost."""
-    arr = shelepin(labels)
-    n = labels.n
-    return [array_labels(alpha, beta, n)
-            for beta in permutations(arr.beta) for alpha in permutations(arr.alpha)]
-
-
 def symmetry_orbit(labels: SixJLabels) -> frozenset[SixJLabels]:
-    """Distinct label sets reachable by array rearrangements; size divides 144."""
-    return frozenset(orbit_variants(labels))
+    """Distinct label sets reachable by the 144 row/column rearrangements; size divides 144."""
+    arr = shelepin(labels)
+    return frozenset(array_labels(alpha, beta, labels.n)
+                     for beta in permutations(arr.beta) for alpha in permutations(arr.alpha))
 
 
 def canonical_representative(labels: SixJLabels) -> SixJLabels:
@@ -196,4 +183,4 @@ def reflect_labels(labels: SixJLabels, names: str) -> SixJLabels:
     for ch in names:
         i = _POSITIONS[ch]
         six[i] = -six[i] - n + 2
-    return labels.replace_six(six)
+    return type(labels)(*six, labels.n)

@@ -13,7 +13,7 @@ function per method name:
 * a triple sum (method ``T3``); these four Gamma-product sums share one loop,
   ``_gamma_sum``, and supply only their prefactors and lattice terms,
 * one closed form for stretched (e = a + b) and near-stretched (e = a + b - 2)
-  label sets (methods ``StretchedE``, ``NearStretchedE``).
+  label sets (methods ``StretchedE``, ``NearStretchedE``: ``CLOSED_FORMS``, by r11).
 
 Each method multiplies its value by ``_abcdef(labels)``, a positive rational that
 ``assemble_sixj`` divides back out.  The production path (the prefactors of ``A``,
@@ -302,6 +302,7 @@ def _c_triple(labels: SixJLabels) -> tuple[Fraction, int]:
 # stretched and near-stretched closed forms
 # ---------------------------------------------------------------------------
 
+CLOSED_FORMS = ("StretchedE", "NearStretchedE")  # the closed form at r11 = 0 and at r11 = 1
 _STRETCHED_NEEDS = ("stretched closed form needs e = a + b",
                     "near-stretched closed form needs e = a + b - 2")
 
@@ -343,8 +344,7 @@ def _c_stretched(labels: SixJLabels, shift: int) -> tuple[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 _EVALUATORS = {
-    "StretchedE": partial(_c_stretched, shift=0),
-    "NearStretchedE": partial(_c_stretched, shift=1),
+    **{name: partial(_c_stretched, shift=r11) for r11, name in enumerate(CLOSED_FORMS)},
     "A": partial(_c_pochhammer, variant="A"),
     "B": partial(_c_pochhammer, variant="B"),
     "C": partial(_c_pochhammer, variant="C"),
@@ -407,8 +407,7 @@ def select_method(labels: SixJLabels) -> MethodChoice:
     if r < 0:
         raise ValueError(f"label set {labels.six} is not admissible")
     if r < 2:
-        return MethodChoice(("StretchedE", "NearStretchedE")[r], r + 1,
-                            array_labels((x3, x2, x1, x0), (y0, y1, y2), n))
+        return MethodChoice(CLOSED_FORMS[r], r + 1, array_labels((x3, x2, x1, x0), (y0, y1, y2), n))
     cost_a = (r + 1) * (y0 - x2 + 1)
     cost_b = (r + 1) * (y1 - x3 + 1)
     if cost_a <= cost_b:

@@ -23,7 +23,7 @@ from math import comb
 from typing import Iterator
 
 from .exact import FactoredProduct, SurdValue
-from .labels import RArray, SixJLabels, admissible, require_int_labels, shelepin
+from .labels import RArray, SixJLabels, admissible, require_int_labels, require_ints, shelepin
 from .series import double_sum, series_prefactor, series_table, termwise
 from .sixj import root_block_sq
 
@@ -59,6 +59,7 @@ class SpU:
 
 def dim_sp(n: int, nu: int) -> int:
     """Dimension of the height-nu single-column irrep of Sp(2n)."""
+    require_ints((("n", n), ("nu", nu)))
     if n < 1:
         raise ValueError("rank n must be a positive integer")
     if not 0 <= nu <= n:

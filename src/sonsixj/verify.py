@@ -34,7 +34,7 @@ from .kdf import (
 )
 from .labels import SixJLabels, admissible, admissible_sixes, orbit_key, shelepin, symmetry_orbit
 from .oracle import require_even_n, sixj_via_su2_pair, sixj_via_su2_triple, su2_6j
-from .sixj import c_alpha, cache_clear, select_method, sixj
+from .sixj import CLOSED_FORMS, METHODS, c_alpha, cache_clear, select_method, sixj
 from .spn import (
     SpLabels,
     dim_sp,
@@ -60,7 +60,8 @@ __all__ = [
     "run_symmetry",
 ]
 
-ALL_EVALUATORS = ("A", "B", "C", "T3", "AFactorial", "BFactorial", "CFactorial")
+ALL_EVALUATORS = tuple(m for m in METHODS if m not in CLOSED_FORMS)  # A, B, C, T3 and the factorial forms
+MAX_MISMATCHES = 20  # mismatch lines a report keeps
 
 # ratio of an SO(4) 6j-symbol to the squared spin-half-label 6j-symbol,
 # measured on the smallest nonzero case (the all-zero labels) and frozen
@@ -85,10 +86,10 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def fail(self, message: str, cap: int = 20) -> None:
-        if len(self.mismatches) < cap:
+    def fail(self, message: str) -> None:
+        if len(self.mismatches) < MAX_MISMATCHES:
             self.mismatches.append(message)
-        elif len(self.mismatches) == cap:
+        elif len(self.mismatches) == MAX_MISMATCHES:
             self.mismatches.append("... further mismatches suppressed")
 
     def summary(self) -> str:
@@ -281,19 +282,15 @@ def run_stretched(
 ) -> None:
     """Closed forms for boundary couplings equal the general evaluator."""
     _require_so_n(n_values)
-    stretched = []
-    near = []
+    cases = []  # (six, CLOSED_FORMS[r11]) for every set with r11 at most 1
     for six in admissible_sixes(max_label):
         r11 = shelepin(SixJLabels(*six, 4)).r(1, 1)
-        if r11 == 0:
-            stretched.append(six)
-        elif r11 == 1:
-            near.append(six)
-    report.notes.append(f"{len(stretched)} stretched, {len(near)} near-stretched sets")
+        if r11 < len(CLOSED_FORMS):
+            cases.append((six, CLOSED_FORMS[r11]))
+    stretched = sum(method == CLOSED_FORMS[0] for _, method in cases)
+    report.notes.append(f"{stretched} stretched, {len(cases) - stretched} near-stretched sets")
     for n in n_values:
-        for six, method in [(s, "StretchedE") for s in stretched] + [
-            (s, "NearStretchedE") for s in near
-        ]:
+        for six, method in cases:
             lab = SixJLabels(*six, n)
             report.checks += 1
             closed = c_alpha(lab, method).value

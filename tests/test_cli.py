@@ -242,6 +242,14 @@ def test_cmd_orbit(capsys):
     assert "1 1 2 1 1 2" in lines and len(lines) == 3
 
 
+def test_cmd_orbit_json(capsys):
+    code, out = run_cli(capsys, ["orbit", "--n", "6", "--format", "json", "--", "1", "1", "2", "1", "1", "2"])
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"kind": "orbit", "n": 6, "labels": six} for six in
+        ([1, 1, 2, 1, 1, 2], [1, 2, 1, 1, 2, 1], [2, 1, 1, 2, 1, 1])]
+
+
 def test_cmd_verify_suite(capsys):
     code, out = run_cli(capsys, ["verify", "--suite", "sp", "--n", "1,2"])
     assert code == 0
@@ -364,6 +372,34 @@ def test_malformed_range_flags_exit_2(capsys, argv, flag, bound):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith(f"error: argument {flag}: {bound}\n")
+
+
+def _raise_arithmetic_error(*args, **kwargs):
+    raise ArithmeticError("residual surd")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sixj", "--n", "6", "--", "2", "2", "2", "-2", "2", "2"], 2,
+     "error: labels must be nonnegative, got [2, 2, 2, -2, 2, 2]"),
+    (["sixj", "--n", "4..5", "--", "2", "2", "2", "2", "2", "2"], 2,
+     "error: this query takes a single n, got '4..5'"),
+    (["dim", "--n", "5", "--l", "2", "--", "2"], 2, "error: dim takes --l, not trailing labels"),
+    (["orbit", "--n", "6", "--", "0", "0", "4", "0", "0", "0"], 2,
+     "error: label set (0, 0, 4, 0, 0, 0) is not admissible"),
+    (["orbit", "--n", "6", "--", "1", "1", "1", "1", "1", "1"], 2,
+     "error: odd triad sum in (1, 1, 1, 1, 1, 1)"),
+    (["verify", "--suite", "sp", "--", "2"], 2, "error: verify takes no trailing labels"),
+    (["sweep", "--kind", "sixj", "--n", "4"], 2, "error: sweep over sixj/calpha needs --max-label"),
+    (["sweep", "--kind", "sixj", "--n", "4", "--max-label", "1", "--", "2"], 2,
+     "error: sweep enumerates labels itself; drop the trailing labels"),
+    (["sixj", "--n", "6", "--", "2", "2", "2", "2", "2", "2"], 1,
+     "internal invariant violation: residual surd"),
+])
+def test_error_paths_exit_with_one_line_on_stderr(capsys, monkeypatch, argv, code, message):
+    monkeypatch.setattr(cli, "sixj", _raise_arithmetic_error)  # reached by the sixj query only
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message + "\n")
 
 
 def test_exit_code_bad_cache_env(capsys, monkeypatch):

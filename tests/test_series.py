@@ -8,6 +8,7 @@ from math import comb, gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from sonsixj import series
 from sonsixj.labels import SixJLabels, admissible_sixes, shelepin, triangle_ok
 from sonsixj.series import (_block_width, _double_sum, _first_zero, _kernel, _rows, double_sum,
                              series_table)
@@ -165,6 +166,26 @@ def test_blocked_sum_on_a_box_narrower_than_the_lattice():
         boxes = []
         assert _double_sum(table, -32, lambda m1, m2: boxes.append((m1, m2)) or width) == (value, nonzero)
         assert boxes == [(10, 10)] and table.m1 == 14
+
+
+def test_blocked_sum_steps_past_a_row_with_no_nonzero_term(monkeypatch):
+    # method B of this non-admissible set at n = 17 (m1 = 3, m2 = 20, 2 tau = 15) has
+    # rows 15 and 16 with no nonzero term between rows that have one; the blocked
+    # rows still advance their differences through them
+    table = series_table(shelepin(SixJLabels(1, 27, 22, 4, 12, 17, 17)), "B")
+    assert (table.m1, table.m2) == (3, 20)
+    value, nonzero, _ = _lattice_sum(table, 15)
+    blocked_rows, gaps = series._blocked_rows, []
+
+    def recording(k, g1, weights, live, top, width):
+        rows = [x2 for x2, *_ in live]
+        gaps.append(sorted(set(range(rows[0], rows[-1] + 1)) - set(rows)))
+        return blocked_rows(k, g1, weights, live, top, width)
+
+    monkeypatch.setattr(series, "_blocked_rows", recording)
+    for width in (1, 2, 3, 5):
+        assert _double_sum(table, 15, lambda m1, m2: width) == (value, nonzero), width
+    assert gaps == [[15, 16]] * 3  # width 5 spans the box: one block, no blocked rows
 
 
 def _row_horner(table, two_tau):

@@ -74,6 +74,17 @@ def test_dim_sp_domain_errors():
         dim_sp(2, 3)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((True, 1), "label n = True is not an int"),
+    ((2.0, 1), "label n = 2.0 is not an int"),
+    ((2, 1.0), "label nu = 1.0 is not an int"),
+])
+def test_dim_sp_rejects_non_int_input(args, message):
+    with pytest.raises(ValueError) as info:
+        dim_sp(*args)
+    assert str(info.value) == message
+
+
 def test_u_sp_all_zero_labels():
     for n in range(1, 5):
         for method in SP_METHODS:
