@@ -23,7 +23,6 @@ that suite does not take, and ``--suite all`` skips a suite that rejects its ran
 and runs the rest.
 Exit codes: 0 success, 1 internal invariant violation, 2 malformed input, 141 when
 stdout closes before the output ends (128 + SIGPIPE).
-The only environment knob is SONSIXJ_CACHE_SIZE (entries in the value cache).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import DEFAULT_DIGITS, SurdValue, surd_normalize
 from .labels import SixJLabels, admissible, admissible_sixes, symmetry_orbit
-from .sixj import CLOSED_FORMS, METHODS, c_alpha, cache_info, configure_cache, dim, sixj, threej_zero
+from .sixj import CLOSED_FORMS, METHODS, c_alpha, dim, sixj, threej_zero
 from .spn import SP_METHODS, SpLabels, dim_sp, sp_admissible, u_sp
 from .verify import SUITES, SuiteRangeError, run_suite
 
@@ -429,15 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    cache_size = os.environ.get("SONSIXJ_CACHE_SIZE")
-    if cache_size is not None:
-        try:
-            size = max(0, min(int(cache_size), sys.maxsize))  # the sizes lru_cache takes
-        except ValueError:
-            print(f"SONSIXJ_CACHE_SIZE must be an integer, got {cache_size!r}", file=sys.stderr)
-            return 2
-        if size != cache_info().maxsize:  # a new cache would drop what this process holds
-            configure_cache(size)
     rest, labels = extract_labels(argv)
     parser = build_parser()
     try:

@@ -4,13 +4,14 @@ The rational core coefficient divided by the six-label product admits six
 parameterizations as a terminating Kampe de Feriet-type series
 
     F = sum_{s,t} (a1)_{s+t} / (s! t! (c1)_{s+t})
-        * prod_i (b_i)_s (b'_i)_t / prod_j (d_j)_s (d'_j)_t * x^s y^t
+        * prod_i (b_i)_s (b'_i)_t / prod_j (d_j)_s (d'_j)_t
 
-with four upper and three lower parameters per axis, at x = y = 1.  This module
-is a verification layer over the production double sums: it evaluates the
-series generically, generates the six parameter sets with their prefactors,
-validates the linear dependencies between parameters, and checks the formal
-label-reflection maps that permute the six parameterizations.
+with four upper and three lower parameters per axis, at unit argument only, as the
+paper evaluates F^{1:4}_{1:3}.  This module is a verification layer over the
+production double sums: it evaluates the series generically, generates the six
+parameter sets with their prefactors, validates the linear dependencies between
+parameters, and checks the formal label-reflection maps that permute the six
+parameterizations; each map matches without interchanging the two axes.
 
 The arithmetic is its own: the parameters are formed as doubled integers, the
 series sums integer Pochhammer rows over one denominator, and each prefactor is
@@ -19,7 +20,7 @@ of it comes from the production ledger or ``series``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -43,8 +44,6 @@ class KdFParams:
     d: tuple[Fraction, Fraction, Fraction]
     b_prime: tuple[Fraction, Fraction, Fraction, Fraction]
     d_prime: tuple[Fraction, Fraction, Fraction]
-    x: Fraction = field(default_factory=lambda: Fraction(1))
-    y: Fraction = field(default_factory=lambda: Fraction(1))
 
 
 def _nonpositive_int(u) -> bool:
@@ -60,8 +59,8 @@ def _axis_max(uppers) -> int:
     return min(stops)
 
 
-def _pochhammer_row(uppers, lowers, top: int, x=1) -> tuple[list[int], int]:
-    """prod (u)_k / prod (l)_k * x**k for k = 0..top, as integer weights over one denominator.
+def _pochhammer_row(uppers, lowers, top: int) -> tuple[list[int], int]:
+    """prod (u)_k / prod (l)_k for k = 0..top, as integer weights over one denominator.
 
     Returns ([w_0, ..., w_top], den) with the k-th value w_k / den.  Each parameter
     is an int or a Fraction, read as numerator and denominator (a half-integer's is
@@ -77,8 +76,6 @@ def _pochhammer_row(uppers, lowers, top: int, x=1) -> tuple[list[int], int]:
         for v in lowers:
             num *= v.denominator
             den *= v.numerator + k * v.denominator
-        num *= x.numerator
-        den *= x.denominator
         nums.append(num)
         dens.append(den)
     # each den divides the last: it is a prefix of the same product
@@ -86,7 +83,7 @@ def _pochhammer_row(uppers, lowers, top: int, x=1) -> tuple[list[int], int]:
 
 
 def kdf_eval(p: KdFParams) -> Fraction:
-    """Evaluate the terminating series exactly.
+    """Evaluate the terminating series exactly, at unit argument.
 
     Each axis and the coupled (a1)_{s+t} / (c1)_{s+t} become one integer row over a
     common denominator, so the double sum runs in integers and one Fraction is made.
@@ -101,8 +98,8 @@ def kdf_eval(p: KdFParams) -> Fraction:
             raise PoleError(f"denominator parameter {dj} vanishes inside the t-rectangle")
     if _nonpositive_int(p.c1) and -p.c1.numerator < smax + tmax:
         raise PoleError(f"coupled denominator parameter {p.c1} vanishes inside the rectangle")
-    srow, sden = _pochhammer_row(p.b, (*p.d, 1), smax, p.x)  # the lower 1 gives s!
-    trow, tden = _pochhammer_row(p.b_prime, (*p.d_prime, 1), tmax, p.y)
+    srow, sden = _pochhammer_row(p.b, (*p.d, 1), smax)  # the lower 1 gives s!
+    trow, tden = _pochhammer_row(p.b_prime, (*p.d_prime, 1), tmax)
     crow, cden = _pochhammer_row((p.a1,), (p.c1,), smax + tmax)
     total = sum(w * sum(map(mul, trow, crow[s:])) for s, w in enumerate(srow))
     return Fraction(total, sden * tden * cden)
@@ -327,10 +324,7 @@ _REFLECTION_FOR_PAIR = {
 }
 
 
-def _param_key(p: KdFParams, swap_axes: bool = False):
-    if swap_axes:
-        return (p.a1, p.c1, tuple(sorted(p.b_prime)), tuple(sorted(p.d_prime)),
-                tuple(sorted(p.b)), tuple(sorted(p.d)))
+def _param_key(p: KdFParams):
     return (p.a1, p.c1, tuple(sorted(p.b)), tuple(sorted(p.d)),
             tuple(sorted(p.b_prime)), tuple(sorted(p.d_prime)))
 
@@ -338,8 +332,8 @@ def _param_key(p: KdFParams, swap_axes: bool = False):
 def hook_reflection_map_check(labels: SixJLabels, pair: tuple[str, str]) -> bool:
     """True iff the source variant at reflected labels matches the target at the originals.
 
-    Matching is at the level of parameter multisets, allowing the primed and
-    unprimed axes to interchange (a symmetry of the series itself).
+    Matching is at the level of parameter multisets, axis by axis: every documented
+    pair matches without interchanging the primed and unprimed axes.
     """
     sub = _REFLECTION_FOR_PAIR.get((pair[0], pair[1]))
     if sub is None:
@@ -347,5 +341,4 @@ def hook_reflection_map_check(labels: SixJLabels, pair: tuple[str, str]) -> bool
     reflected = reflect_labels(labels, sub)
     src = _series_params(reflected.six, labels.n, pair[0])
     dst = _series_params(labels.six, labels.n, pair[1])
-    want = _param_key(dst)
-    return _param_key(src) == want or _param_key(src, swap_axes=True) == want
+    return _param_key(src) == _param_key(dst)

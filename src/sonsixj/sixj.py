@@ -31,13 +31,12 @@ one Fraction per nonzero term; they use neither the ledger nor ``series``.
 (a closed form, ``A`` or ``B``; the check paths are never chosen) by a closed-form
 rule on the sorted alpha and beta of ``labels.orbit_key``, so it walks none of the
 144 row and column permutations.  ``sixj`` ties everything together with a
-``functools.lru_cache`` keyed by ``orbit_key`` (sorted alpha, sorted beta, n), one
-entry per symmetry orbit.  ``configure_cache``, ``cache_clear`` and ``cache_info``
-resize, empty and report that cache.
+``functools.lru_cache`` of ``CACHE_SIZE`` entries keyed by ``orbit_key`` (sorted
+alpha, sorted beta, n), one entry per symmetry orbit.  ``cache_clear`` and
+``cache_info`` empty and report that cache.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -449,9 +448,10 @@ def assemble_sixj(c_value: Fraction, labels: SixJLabels) -> SurdValue:
     return root_block_sq(labels.six, labels.n).sqrt_surd() * (c_value / _abcdef(labels))
 
 
-DEFAULT_CACHE_SIZE = 65536
+CACHE_SIZE = 65536  # symmetry orbits the value cache holds
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _evaluate(key: tuple) -> tuple[SurdValue, str, int]:
     """(value, method, predicted terms) of the orbit with this ``orbit_key``.
 
@@ -465,26 +465,16 @@ def _evaluate(key: tuple) -> tuple[SurdValue, str, int]:
     return assemble_sixj(ca.value, choice.variant), choice.method, choice.predicted_terms
 
 
-_cached_evaluate = lru_cache(maxsize=DEFAULT_CACHE_SIZE)(_evaluate)
-
-
-def configure_cache(maxsize: int) -> None:
-    """Replace the value cache (one entry per symmetry orbit) by an empty one of this size."""
-    global _cached_evaluate
-    _cached_evaluate = lru_cache(maxsize=min(maxsize, sys.maxsize))(_evaluate)
-
-
 def cache_clear() -> None:
-    _cached_evaluate.cache_clear()
+    _evaluate.cache_clear()
 
 
 def cache_info():
     """Hits, misses, maxsize and current size of the value cache (``functools`` CacheInfo)."""
-    return _cached_evaluate.cache_info()
+    return _evaluate.cache_info()
 
 
-def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
-         use_cache: bool = True) -> SixJValue:
+def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False) -> SixJValue:
     """The 6j symbol of SO(n) for symmetric representations.
 
     With method="auto" the symmetry orbit is scanned for the cheapest evaluation and
@@ -498,6 +488,5 @@ def sixj(labels: SixJLabels, method: str = "auto", allow_n3: bool = False,
     if method != "auto":
         ca = c_alpha(labels, method, allow_n3=allow_n3)
         return SixJValue(assemble_sixj(ca.value, labels), labels, method, ca.terms)
-    evaluate = _cached_evaluate if use_cache else _evaluate
-    value, method_used, terms = evaluate(orbit_key(labels))
+    value, method_used, terms = _evaluate(orbit_key(labels))
     return SixJValue(value, labels, method_used, terms)

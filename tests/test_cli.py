@@ -1,5 +1,6 @@
 """Command line interface: parsing, rendering, exit codes, sweeps."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -322,6 +323,22 @@ def test_cmd_verify_all_exits_2_when_a_suite_raises_after_a_mismatch(capsys, mon
     assert "suite cross-formula: " in out and "suite oracles" not in out
 
 
+def test_cmd_verify_exits_1_and_prints_each_mismatch(capsys, monkeypatch):
+    verify_mod = importlib.import_module("sonsixj.verify")
+    c_alpha = verify_mod.c_alpha
+
+    def wrong_t3(lab, method="A", **kwargs):
+        out = c_alpha(lab, method, **kwargs)
+        return dataclasses.replace(out, value=out.value + 1) if method == "T3" else out
+
+    monkeypatch.setattr(verify_mod, "c_alpha", wrong_t3)
+    code, out = run_cli(capsys, ["verify", "--suite", "cross-formula", "--n", "4,5", "--max-label", "0"])
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0].startswith("suite cross-formula: 2 checks, 2 MISMATCHES (")
+    assert lines[1:] == [f"  MISMATCH (0, 0, 0, 0, 0, 0) n={n}: T3 gave 2, A gave 1" for n in (4, 5)]
+
+
 @pytest.mark.parametrize("digits, code", [("0", 2), ("10000", 0), ("10001", 2)])
 def test_cmd_digits_bounded(capsys, digits, code):
     got = main(["threej", "--n", "6", "--format", "decimal", "--digits", digits, "--", "2", "2", "0"])
@@ -402,21 +419,6 @@ def test_error_paths_exit_with_one_line_on_stderr(capsys, monkeypatch, argv, cod
     assert (out, err) == ("", message + "\n")
 
 
-def test_exit_code_bad_cache_env(capsys, monkeypatch):
-    sixj_mod = importlib.import_module("sonsixj.sixj")
-    # main() replaces the process-wide cache; put the original back afterwards
-    monkeypatch.setattr(sixj_mod, "_cached_evaluate", sixj_mod._cached_evaluate)
-    monkeypatch.setenv("SONSIXJ_CACHE_SIZE", "many")
-    assert main(["dim", "--n", "5", "--l", "2"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("SONSIXJ_CACHE_SIZE", str(10**30))  # beyond what lru_cache takes
-    assert run_cli(capsys, ["dim", "--n", "5", "--l", "2"]) == (0, "14\n")
-    monkeypatch.setenv("SONSIXJ_CACHE_SIZE", "64")
-    code, out = run_cli(capsys, ["dim", "--n", "5", "--l", "2"])
-    assert (code, out) == (0, "14\n")
-    assert sixj_mod.cache_info().maxsize == 64
-
-
 def test_parser_built_once_keeps_no_state_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     argv = ["sixj", "--n", "6", "--format", "json", "--", "2", "2", "2", "2", "2", "2"]
@@ -433,19 +435,6 @@ def test_exit_code_closed_form_off_its_label_set(capsys):
     code = main(["sixj", "--n", "6", "--method", "StretchedE", "--", "2", "2", "2", "2", "2", "2"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "error: stretched closed form needs e = a + b\n")
-
-
-def test_env_cache_size_keeps_the_cache_across_calls(capsys, monkeypatch):
-    sixj_mod = importlib.import_module("sonsixj.sixj")
-    monkeypatch.setattr(sixj_mod, "_cached_evaluate", sixj_mod._cached_evaluate)
-    monkeypatch.setenv("SONSIXJ_CACHE_SIZE", "100")
-    argv = ["sixj", "--n", "6", "--", "2", "2", "2", "2", "2", "2"]
-    assert run_cli(capsys, argv) == (0, "9/400\n")
-    info = sixj_mod.cache_info()
-    assert (info.maxsize, info.hits, info.misses) == (100, 0, 1)
-    assert run_cli(capsys, argv) == (0, "9/400\n")
-    info = sixj_mod.cache_info()
-    assert (info.maxsize, info.hits, info.misses) == (100, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ def test_sixj_calls_module_level_callees(monkeypatch):
     assert calls == {"select_method": 1, "c_alpha": 1, "assemble_sixj": 1}  # miss
     assert sixj_mod.sixj(lab) == first
     assert calls == {"select_method": 1, "c_alpha": 1, "assemble_sixj": 1}  # hit
-    sixj_mod.sixj(lab, use_cache=False)
+    sixj_mod.cache_clear()
+    sixj_mod.sixj(lab)
     assert calls == {"select_method": 2, "c_alpha": 2, "assemble_sixj": 2}
 
 

@@ -1,5 +1,6 @@
 """Terminating double-series representations of the core coefficient."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -53,16 +54,15 @@ def naive_eval(p: KdFParams) -> Fraction:
                 fact *= i
             for i in range(1, t + 1):
                 fact *= i
-            total += num * p.x**s * p.y**t / (den * fact)
+            total += num / (den * fact)
     return total
 
 
-def _params(a1, c1, b, d, bp, dp, x=1, y=1):
+def _params(a1, c1, b, d, bp, dp):
     return KdFParams(
         Fraction(a1), Fraction(c1),
         tuple(Fraction(v) for v in b), tuple(Fraction(v) for v in d),
         tuple(Fraction(v) for v in bp), tuple(Fraction(v) for v in dp),
-        Fraction(x), Fraction(y),
     )
 
 
@@ -88,7 +88,7 @@ def test_eval_matches_naive_loop():
     cases = [
         _params(-3, Fraction(7, 2), (-2, 1, 2, 1), (3, 2, 4), (-1, 2, 1, 1), (2, 5, 3)),
         _params(-4, Fraction(5, 2), (-3, Fraction(1, 2), 1, 2), (2, 3, 3),
-                (-2, 2, 2, 1), (4, 2, 2), x=Fraction(2, 3), y=Fraction(-1, 2)),
+                (-2, 2, 2, 1), (4, 2, 2)),
         _params(-2, 6, (-2, -1, 3, 1), (1, 2, 2), (-3, 1, 1, 2), (3, 1, 4)),
     ]
     for p in cases:
@@ -105,6 +105,19 @@ def test_eval_denominator_pole_raises():
     # denominator parameter hits zero inside the summation rectangle
     p = _params(-2, 3, (-2, 1, 1, 1), (-1, 2, 2), (0, 1, 1, 1), (1, 1, 1))
     with pytest.raises(PoleError):
+        kdf_eval(p)
+
+
+@pytest.mark.parametrize("p, message", [
+    # the t-axis stops at 2, and d'_1 = -1 vanishes at t = 1
+    (_params(-2, 3, (0, 1, 1, 1), (1, 1, 1), (-2, 1, 1, 1), (-1, 2, 2)),
+     "denominator parameter -1 vanishes inside the t-rectangle"),
+    # s + t reaches 3, and c1 = -2 vanishes at s + t = 2
+    (_params(-3, -2, (-2, 1, 1, 1), (1, 1, 1), (-1, 1, 1, 1), (1, 1, 1)),
+     "coupled denominator parameter -2 vanishes inside the rectangle"),
+])
+def test_eval_pole_on_the_t_axis_or_the_coupled_parameter_raises(p, message):
+    with pytest.raises(PoleError, match=f"^{message}$"):
         kdf_eval(p)
 
 
@@ -131,6 +144,38 @@ def test_params_balance_and_dependencies():
                 continue
             assert check_balance(params, 6), (six, variant)
             assert check_dependencies(params, DEPENDENCY_FAMILY[variant]), (six, variant)
+
+
+def _bumped(p: KdFParams, name: str, index: int) -> KdFParams:
+    values = list(getattr(p, name))
+    values[index] += 1
+    return dataclasses.replace(p, **{name: tuple(values)})
+
+
+def test_balance_fails_on_one_perturbed_parameter():
+    params, _ = kdf_params_for(SixJLabels(2, 2, 2, 2, 2, 2, 6), "1a")
+    assert check_balance(params, 6)
+    assert not check_balance(_bumped(params, "b", 0), 6)  # the s-axis
+    assert not check_balance(_bumped(params, "b_prime", 0), 6)  # the t-axis
+    assert not check_balance(params, 8)  # balanced, at another n
+
+
+@pytest.mark.parametrize("variant, name, index", [
+    ("1a", "d", 0),  # d_1 = a1, in both families
+    ("1a", "d", 1), ("1a", "b", 0), ("1a", "b", 3),  # bala
+    ("1b", "d", 1), ("1b", "d", 2), ("1b", "b", 0),  # balb
+])
+def test_dependencies_fail_on_one_perturbed_parameter(variant, name, index):
+    params, _ = kdf_params_for(SixJLabels(2, 2, 2, 2, 2, 2, 6), variant)
+    family = DEPENDENCY_FAMILY[variant]
+    assert check_dependencies(params, family)
+    assert not check_dependencies(_bumped(params, name, index), family)
+
+
+def test_dependencies_reject_an_unknown_family():
+    params, _ = kdf_params_for(SixJLabels(2, 2, 2, 2, 2, 2, 6), "1a")
+    with pytest.raises(ValueError, match="^unknown dependency family balc$"):
+        check_dependencies(params, "balc")
 
 
 def test_dependency_family_split():

@@ -74,7 +74,7 @@ def test_reduction_routes_match_production():
     for six in list(admissible_sixes(3))[::3]:
         for n in (4, 8):
             lab = SixJLabels(*six, n)
-            assert sixj(lab, use_cache=False).value == sixj_via_su2_triple(lab), (six, n)
+            assert sixj(lab).value == sixj_via_su2_triple(lab), (six, n)
 
 
 def test_pair_route_phase_is_load_bearing():
@@ -123,7 +123,7 @@ def test_n3_equals_su2():
     # SO(3) is SU(2) at integer spin: the only oracle at an odd n, and at Gamma(3/2)
     count = 0
     for six in admissible_sixes(4):
-        assert sixj(SixJLabels(*six, 3), allow_n3=True, use_cache=False).value == su2_6j(*six), six
+        assert sixj(SixJLabels(*six, 3), allow_n3=True).value == su2_6j(*six), six
         count += 1
     assert count == 570
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from sonsixj.exact import PoleError, ResidualSqrtPiError, SurdValue, surd_normal
 from sonsixj.labels import SixJLabels, admissible, admissible_sixes, shelepin, symmetry_orbit
 from sonsixj.series import series_table
 from sonsixj.sixj import (
-    DEFAULT_CACHE_SIZE,
+    CACHE_SIZE,
     METHODS,
     MethodChoice,
     _abcdef,
@@ -21,7 +22,6 @@ from sonsixj.sixj import (
     c_alpha,
     cache_clear,
     cache_info,
-    configure_cache,
     dim,
     select_method,
     sixj,
@@ -252,7 +252,7 @@ def test_select_method_rejects_inadmissible_labels(six, message):
 @given(rng=st.randoms(use_true_random=False), n=st.integers(4, 12))
 def test_auto_equals_every_forced_method(rng, n):
     lab = random_admissible(rng, n, 30)
-    auto = sixj(lab, use_cache=False).value
+    auto = sixj(lab).value
     for method in ("A", "B", "C"):
         assert sixj(lab, method=method).value == auto, method
 
@@ -264,7 +264,7 @@ _T3_CHEAPER = (8, 8, 12, 10, 10, 10)
 @pytest.mark.parametrize("n", [4, 7, 10])
 def test_auto_selects_production_methods_where_t3_predicts_fewer_terms(n):
     lab = SixJLabels(*_T3_CHEAPER, n)
-    result = sixj(lab, use_cache=False)
+    result = sixj(lab)
     assert (result.method_used, result.predicted_terms) == ("A", 15)
     assert result.value == sixj(lab, method="T3").value
 
@@ -276,11 +276,12 @@ def test_auto_never_reaches_the_gamma_product_sums(monkeypatch):
         raise AssertionError("auto evaluated a check path")
 
     monkeypatch.setattr(sixj_mod, "_gamma_sum", check_path)
-    assert sixj(SixJLabels(*_T3_CHEAPER, 7), use_cache=False).method_used == "A"
+    cache_clear()  # every call below evaluates its orbit
+    assert sixj(SixJLabels(*_T3_CHEAPER, 7)).method_used == "A"
     rng = random.Random(1)
     for _ in range(40):
         lab = random_admissible(rng, rng.randrange(4, 13), 30)
-        assert sixj(lab, use_cache=False).method_used in ("StretchedE", "NearStretchedE", "A", "B")
+        assert sixj(lab).method_used in ("StretchedE", "NearStretchedE", "A", "B")
 
 
 def test_predicted_terms_bounds_actual():
@@ -295,7 +296,7 @@ def test_sixj_orbit_invariance():
     lab = SixJLabels(1, 3, 2, 3, 1, 4, 7)
     ref = sixj(lab, method="A").value
     for member in symmetry_orbit(lab):
-        assert sixj(member, method="B", use_cache=False).value == ref
+        assert sixj(member, method="B").value == ref
 
 
 def test_odd_n_core_coefficients_are_rational():
@@ -306,7 +307,7 @@ def test_odd_n_core_coefficients_are_rational():
             lab = SixJLabels(*six, n)
             for method in ("A", "C", "T3"):
                 assert isinstance(c_alpha(lab, method).value, Fraction), (six, n)
-    v = sixj(SixJLabels(2, 4, 2, 4, 2, 4, 5), use_cache=False).value
+    v = sixj(SixJLabels(2, 4, 2, 4, 2, 4, 5)).value
     assert v == surd_normalize(Fraction(1, 693), 91)
 
 
@@ -320,49 +321,33 @@ def test_n_guard():
 
 
 def test_cache_round_trip():
-    configure_cache(16)
-    try:
-        lab = SixJLabels(2, 2, 4, 4, 2, 2, 8)
-        first = sixj(lab)
-        second = sixj(lab)
-        assert first.value == second.value
-        assert second.method_used == first.method_used
-        assert cache_info()[:2] == (1, 1)  # hits, misses
-        # orbit members share the cache slot and the value
-        swapped = lab._replace(a=4, d=2, b=2, c=2)
-        third = sixj(swapped)
-        assert cache_info()[:2] == (2, 1)
-        assert cache_info().currsize == 1
-        assert third.labels == swapped
-        assert (third.value, third.method_used, third.predicted_terms) == (
-            first.value, first.method_used, first.predicted_terms)
-        uncached = sixj(lab, use_cache=False)
-        assert uncached.value == first.value
-        assert cache_info()[:2] == (2, 1)
-        cache_clear()
-        assert cache_info() == (0, 0, 16, 0)
-    finally:
-        configure_cache(DEFAULT_CACHE_SIZE)
+    cache_clear()
+    lab = SixJLabels(2, 2, 4, 4, 2, 2, 8)
+    first = sixj(lab)
+    second = sixj(lab)
+    assert first.value == second.value
+    assert second.method_used == first.method_used
+    assert cache_info()[:2] == (1, 1)  # hits, misses
+    # orbit members share the cache slot and the value
+    swapped = lab._replace(a=4, d=2, b=2, c=2)
+    third = sixj(swapped)
+    assert cache_info()[:2] == (2, 1)
+    assert cache_info().currsize == 1
+    assert third.labels == swapped
+    assert (third.value, third.method_used, third.predicted_terms) == (
+        first.value, first.method_used, first.predicted_terms)
+    forced = sixj(lab, method=first.method_used)  # a forced method bypasses the cache
+    assert forced.value == first.value
+    assert cache_info()[:2] == (2, 1)
+    cache_clear()
+    assert cache_info() == (0, 0, CACHE_SIZE, 0)
 
 
-def test_cache_disabled():
-    configure_cache(0)
-    try:
-        lab = SixJLabels(2, 2, 2, 2, 2, 2, 6)
-        assert sixj(lab).value == SurdValue.of_rational(Fraction(9, 400))
-        assert sixj(lab).value == SurdValue.of_rational(Fraction(9, 400))
-        assert cache_info()[:2] == (0, 2)  # hits, misses
-        assert cache_info().currsize == 0
-    finally:
-        configure_cache(DEFAULT_CACHE_SIZE)
-    assert cache_info().maxsize == 65536
-
-
-def test_cache_is_thread_safe():
+def test_cache_is_thread_safe(monkeypatch):
     # four threads alternate two orbits through a one-slot cache with a tiny switch
     # interval; a check-then-read lookup raised KeyError here
     labs = (SixJLabels(0, 0, 0, 0, 0, 0, 6), SixJLabels(1, 1, 0, 1, 1, 0, 6))
-    expected = [sixj(lab, use_cache=False).value for lab in labs]
+    expected = [sixj(lab).value for lab in labs]
     errors = []
 
     def worker():
@@ -372,8 +357,10 @@ def test_cache_is_thread_safe():
         except Exception as exc:  # reported to the main thread below
             errors.append(exc)
 
+    sixj_mod = importlib.import_module("sonsixj.sixj")
+    # the teardown puts the full cache back
+    monkeypatch.setattr(sixj_mod, "_evaluate", lru_cache(maxsize=1)(sixj_mod._evaluate.__wrapped__))
     old_interval = sys.getswitchinterval()
-    configure_cache(1)
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=worker) for _ in range(4)]
@@ -384,7 +371,6 @@ def test_cache_is_thread_safe():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old_interval)
-        configure_cache(DEFAULT_CACHE_SIZE)
     assert not errors, errors[:1]
 
 
@@ -446,13 +432,7 @@ def test_every_lru_cache_is_bounded(module):
 
 
 def test_cache_info_reports_the_configured_size():
-    assert cache_info().maxsize == DEFAULT_CACHE_SIZE
-    configure_cache(123)
-    try:
-        assert cache_info().maxsize == 123
-    finally:
-        configure_cache(DEFAULT_CACHE_SIZE)
-    assert cache_info().maxsize == DEFAULT_CACHE_SIZE
+    assert cache_info().maxsize == CACHE_SIZE == 65536
 
 
 def test_generic_evaluators_agree_at_n3():

@@ -1,15 +1,22 @@
 """Verification suites: how a suite reports what goes wrong inside it."""
 
+import dataclasses
 import importlib
+import itertools
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from sonsixj.exact import ResidualSqrtPiError
+from sonsixj.exact import ResidualSqrtPiError, SurdValue, surd_normalize
 from sonsixj.labels import SixJLabels, admissible, admissible_sixes, orbit_key, symmetry_orbit
 from sonsixj.spn import SpLabels, sp_admissible
 from sonsixj.verify import (
+    MAX_MISMATCHES,
+    SUITES,
     SuiteRangeError,
+    SuiteReport,
     random_admissible,
     run_cross_formula,
     run_kdf,
@@ -17,6 +24,7 @@ from sonsixj.verify import (
     run_rationality,
     run_sp,
     run_stretched,
+    run_suite,
     run_symmetry,
 )
 
@@ -129,3 +137,120 @@ def test_oracles_demand_the_injected_sign_only_where_it_can_matter(monkeypatch):
     monkeypatch.setattr(verify_mod, "sixj_via_su2_pair", lambda lab, reinstate_phase=False: pair(lab))
     toothless = run_oracles(n_values=(4, 6), max_label=1)
     assert toothless.mismatches == ["reinstated alternating sign never changed any value"]
+
+
+def _shift(out):
+    """``out`` with another value; ``out`` is a value or a record holding one in ``.value``."""
+    if isinstance(out, Fraction):
+        return out + 1
+    if isinstance(out, SurdValue):
+        return SurdValue.of_rational(1) if out.is_zero() else -out
+    return dataclasses.replace(out, value=_shift(out.value))
+
+
+def _shifted(when, **fields):
+    """A stand-in factory: the original, changed on the calls ``when`` accepts.
+
+    The change replaces ``fields`` of the result, or with no fields applies ``_shift``.
+    """
+
+    def patch(original):
+        def stand_in(*args, **kwargs):
+            out = original(*args, **kwargs)
+            if not when(*args, **kwargs):
+                return out
+            return dataclasses.replace(out, **fields) if fields else _shift(out)
+
+        return stand_in
+
+    return patch
+
+
+def _method_is(name, default):
+    return _shifted(lambda lab, method=default, **_: method == name)
+
+
+def _returns(value):
+    return lambda original: lambda *args, **kwargs: value
+
+
+def _always(*args, **kwargs):
+    return True
+
+
+def _at(six):
+    return lambda lab, *args, **kwargs: lab.six == six
+
+
+_ZEROS = (0, 0, 0, 0, 0, 0)
+_ONES = (1, 1, 0, 1, 1, 0)  # admissible, and its orbit has other members
+_TINY = dict(n_values=(4,), max_label=0)
+
+
+# (suite, its range, the name the suite imports, stand-in factory, text of one mismatch)
+_BROKEN = [
+    ("cross-formula", _TINY, "c_alpha", _method_is("T3", "A"), "T3 gave"),
+    ("oracles", _TINY, "sixj_via_su2_pair",
+     _shifted(lambda lab, reinstate_phase=False: not reinstate_phase), "pair route gave"),
+    ("symmetry", dict(max_label=1, n_values=(4,)), "sixj",
+     _shifted(lambda lab, method="auto", **_: method == "A" and lab.six == _ONES), ": A broke"),
+    ("symmetry", dict(max_label=1, n_values=(4,)), "sixj", _method_is("B", "auto"), ": B broke"),
+    ("symmetry", dict(max_label=1, n_values=(4,)), "sixj", _method_is("auto", "auto"),
+     "auto-selected value differs from forced A"),
+    ("rationality", dict(n_values=(5,), max_label=0), "c_alpha",
+     _shifted(lambda lab, method="A", **_: method == "C", value=0.5), "C: non-rational 0.5"),
+    ("stretched", _TINY, "c_alpha", _method_is("StretchedE", "A"), "StretchedE gave"),
+    ("so4", dict(max_label=1), "su2_6j",
+     lambda original: lambda *js: SurdValue.zero() if not any(js) else original(*js),
+     "spin 6j vanishes but SO(4) value is 1"),
+    ("so4", dict(max_label=1), "sixj", _shifted(_at(_ZEROS), value=surd_normalize(1, 2)),
+     "SO(4) value not rational: 1*sqrt(2)"),
+    ("so4", dict(max_label=1), "sixj", _shifted(_at(_ONES)), "differs from measured 1"),
+    ("so4", dict(max_label=1), "sixj", _shifted(_always), "measured constant -1 differs from frozen 1"),
+    ("kdf", dict(n_values=(4,), max_label=1), "check_balance", _returns(False), "balance relations broke"),
+    ("kdf", dict(n_values=(4,), max_label=1), "check_dependencies", _returns(False),
+     "dependency relations broke"),
+    ("kdf", dict(n_values=(4,), max_label=1), "kdf_c_alpha", _shifted(_always), "series gave"),
+    ("kdf", dict(n_values=(4,), max_label=1), "hook_reflection_map_check", _returns(False),
+     "reflection map failed"),
+    ("sp", dict(n_values=(2,)), "u_sp", _method_is("b", "a"), "method b gave"),
+    ("sp", dict(n_values=(2,)), "u_sp",
+     _shifted(lambda lab, method="a": method == "a" and lab.six == _ZEROS,
+              value=SurdValue(Fraction(1), Fraction(-1))), "non-real value"),
+    ("sp", dict(n_values=(2,)), "u_sp",
+     _shifted(lambda lab, method="a": method == "a" and lab.six == _ZEROS, value=SurdValue.zero()),
+     "admissible coupling vanished"),
+    ("sp", dict(n_values=(2,)), "sp_symmetry_transform",
+     lambda original: lambda lab: (original(lab)[0], -original(lab)[1]), "column-swap relation broke"),
+    ("sp", dict(n_values=(2,)), "u_sp",
+     _shifted(lambda lab, method="a": not sp_admissible(lab)), "out-of-range coupling is nonzero"),
+    ("performance", {}, "time", lambda original: SimpleNamespace(perf_counter=itertools.count(step=2).__next__),
+     "large-label evaluation took 2.00s (budget 1s)"),
+    ("performance", {}, "sixj", _shifted(_always, predicted_terms=0), "nonzero terms"),
+    ("performance", {}, "select_method",
+     lambda original: lambda lab: original(lab)._replace(predicted_terms=0), ": nonzero terms"),
+]
+
+
+@pytest.mark.parametrize("suite, kwargs, name, patch, text", _BROKEN,
+                         ids=[f"{case[0]}-{case[4]}" for case in _BROKEN])
+def test_each_suite_reports_a_wrong_value(monkeypatch, suite, kwargs, name, patch, text):
+    monkeypatch.setattr(verify_mod, name, patch(getattr(verify_mod, name)))
+    report = run_suite(suite, **kwargs)
+    assert not report.ok
+    assert any(text in line for line in report.mismatches), report.mismatches
+
+
+def test_a_report_keeps_the_first_mismatches_and_marks_the_rest():
+    report = SuiteReport("demo")
+    for i in range(MAX_MISMATCHES + 5):
+        report.fail(f"mismatch {i}")
+    assert report.mismatches == [f"mismatch {i}" for i in range(MAX_MISMATCHES)] + [
+        "... further mismatches suppressed"]
+    assert report.summary().startswith(f"suite demo: 0 checks, {MAX_MISMATCHES + 1} MISMATCHES")
+
+
+def test_run_suite_names_the_suites_on_an_unknown_name():
+    with pytest.raises(ValueError) as info:
+        run_suite("nope")
+    assert str(info.value) == f"unknown suite 'nope'; choose from {', '.join(SUITES)}"
